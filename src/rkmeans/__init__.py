@@ -30,12 +30,9 @@ from .lab import (
     oracle_global_min,
     population_risk,
     rate_bound,
-    vr_consistency_experiment,
 )
 from .metrics import (
-    ContingencyTable,
     adjusted_rand_index,
-    align_rotation,
     directed_hausdorff,
     param_distance,
     symmetric_hausdorff,
@@ -68,7 +65,6 @@ __all__ = [
     "Assignment",
     "AgreementResult",
     "CentroidSet",
-    "ContingencyTable",
     "ConvergenceReport",
     "CsvParseError",
     "DataMatrix",
@@ -86,7 +82,6 @@ __all__ = [
     "VrProfile",
     "adjusted_rand_index",
     "agreement_experiment",
-    "align_rotation",
     "assign_clusters",
     "assigned_objective",
     "check_distinctness",
@@ -113,7 +108,6 @@ __all__ = [
     "tandem_fit",
     "update_centroids",
     "update_loading",
-    "vr_consistency_experiment",
     "vr_hat",
     "write_labels_csv",
     "write_matrix_csv",

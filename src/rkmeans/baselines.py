@@ -94,45 +94,74 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         if np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
 
-    cw = np.concatenate(([0.0], np.cumsum(w)))
-    cwv = np.concatenate(([0.0], np.cumsum(w * v)))
-    cwv2 = np.concatenate(([0.0], np.cumsum(w * v * v)))
-
-    def run_cost(a: int, b: int) -> float:
-        """Weighted SSE of the half-open run [a, b) around its weighted mean."""
-        sw = cw[b] - cw[a]
-        if sw <= 0.0:
-            return 0.0
-        s1 = cwv[b] - cwv[a]
-        s2 = cwv2[b] - cwv2[a]
-        return max(s2 - s1 * s1 / sw, 0.0)
-
-    # cost[j][i]: best split of the first i points into j clusters
-    cost = np.full((k + 1, n + 1), np.inf)
-    split = np.zeros((k + 1, n + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
-    for j in range(1, k + 1):
-        for i in range(j, n + 1):
-            best_c, best_s = np.inf, j - 1
-            # ties keep the latest split, i.e. earlier clusters absorb ties
-            for s in range(j - 1, i):
-                c = cost[j - 1, s] + run_cost(s, i)
-                if c <= best_c:
-                    best_c, best_s = c, s
-            cost[j, i] = best_c
-            split[j, i] = best_s
-
+    prefix = weighted_prefix_sums(v[None, :], w[None, :])
+    cost, split = kmeans_1d_dp(prefix, k, keep_splits=True)
+    cw, cwv = prefix[0][0], prefix[1][0]
     labels = np.empty(n, dtype=np.int64)
     centers = np.zeros((k, 1))
     i = n
     for j in range(k, 0, -1):
-        s = int(split[j, i])
+        s = int(split[j, 0, i])
         labels[s:i] = j - 1
         sw = cw[i] - cw[s]
         centers[j - 1, 0] = (cwv[i] - cwv[s]) / sw if sw > 0 else v[s]
         i = s
-    loss = float(cost[k, n]) / float(w.sum())
+    loss = float(cost[0, n]) / float(w.sum())
     return KmeansSolution(centers=centers, assignment=Assignment(labels, k), loss=loss)
+
+
+def weighted_prefix_sums(ts: np.ndarray, ws: np.ndarray) -> tuple:
+    """Row-wise prefix sums (cw, cwt, cwt2) of ws, ws*ts and ws*ts*ts for
+    g x m arrays, each g x (m + 1) with a leading zero column."""
+    g, m = ts.shape
+    cw = np.zeros((g, m + 1))
+    cwt = np.zeros((g, m + 1))
+    cwt2 = np.zeros((g, m + 1))
+    np.cumsum(ws, axis=1, out=cw[:, 1:])
+    np.cumsum(ws * ts, axis=1, out=cwt[:, 1:])
+    np.cumsum(ws * ts * ts, axis=1, out=cwt2[:, 1:])
+    return cw, cwt, cwt2
+
+
+def kmeans_1d_dp(prefix: tuple, k: int, keep_splits: bool = False) -> tuple:
+    """Exact 1-D k-means dynamic program over split points, batched across
+    the rows of sorted values summarized by ``weighted_prefix_sums``.
+
+    Returns (cost, split). cost[r, i] is the least weighted SSE of cutting the
+    first i values of row r into k contiguous runs. With ``keep_splits``,
+    split[j, r, i] is where the last run starts in the best cut of those
+    values into j runs, ties keeping the latest split (earlier clusters absorb
+    ties); otherwise split is None. A cut's cost is accumulated run by run
+    from the left, as an enumeration of contiguous partitions sums it, so the
+    two agree bit for bit.
+    """
+    cw, cwt, cwt2 = prefix
+    g, m = cw.shape[0], cw.shape[1] - 1
+
+    def run_sse(lo: slice, hi: slice) -> np.ndarray:
+        """Weighted SSE of the runs [lo, hi) about their weighted means; one
+        slice has length 1 and broadcasts against the other."""
+        sw = cw[:, hi] - cw[:, lo]
+        s1 = cwt[:, hi] - cwt[:, lo]
+        ratio = np.zeros_like(s1)
+        np.divide(s1 * s1, sw, out=ratio, where=sw > 0)
+        return np.maximum(cwt2[:, hi] - cwt2[:, lo] - ratio, 0.0)
+
+    # one cluster: the whole prefix [0, i)
+    cost = np.full((g, m + 1), np.inf)
+    cost[:, 0] = 0.0
+    cost[:, 1:] = run_sse(slice(0, 1), slice(1, m + 1))
+    split = np.zeros((k + 1, g, m + 1), dtype=np.int64) if keep_splits else None
+    for j in range(2, k + 1):
+        new_cost = np.full((g, m + 1), np.inf)
+        for i in range(j, m + 1):
+            # candidate last runs [s, i) for s = j-1 .. i-1
+            cand = cost[:, j - 1 : i] + run_sse(slice(j - 1, i), slice(i, i + 1))
+            new_cost[:, i] = cand.min(axis=1)
+            if keep_splits:
+                split[j, :, i] = i - 1 - cand[:, ::-1].argmin(axis=1)
+        cost = new_cost
+    return cost, split
 
 
 def pca_fit(X: DataMatrix, q: int) -> LoadingMatrix:
@@ -144,13 +173,11 @@ def pca_fit(X: DataMatrix, q: int) -> LoadingMatrix:
     q = int(q)
     if not 1 <= q <= X.p:
         raise ValueError(f"need 1 <= q <= p, got q={q}, p={X.p}")
-    xc = X.values - X.values.mean(axis=0)
-    _, _, vh = np.linalg.svd(xc, full_matrices=False)
-    if vh.shape[0] < q:
+    if X.n < q:
         raise DegenerateDataError(
-            f"data has rank at most {vh.shape[0]}, cannot extract {q} loadings"
+            f"data has rank at most {X.n}, cannot extract {q} loadings"
         )
-    A = vh[:q].T.copy()
+    A = _kernels.principal_axes(X.values, q)
     for c in range(q):
         pivot = int(np.abs(A[:, c]).argmax())
         if A[pivot, c] < 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._seeds import spawn_rng, spawn_seed
-from .baselines import kmeans_1d_exact
+from .baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from .datagen import DatasetSpec, generate_dataset
 from .errors import DegenerateDataError
 from .metrics import adjusted_rand_index, param_distance
@@ -63,10 +63,6 @@ class PopulationSpec:
     @property
     def p(self) -> int:
         return self.atoms.shape[1]
-
-    def mean_risk_bound_radius(self) -> float:
-        """Largest atom norm; bounds every projection and centroid."""
-        return float(np.sqrt(np.sum(self.atoms * self.atoms, axis=1).max()))
 
 
 @dataclass(frozen=True)
@@ -138,45 +134,17 @@ def oracle_global_min(target, k: int, angle_grid_size: int = 2000) -> OracleSolu
 
 
 def _grouped_1d_kmeans_loss(ts: np.ndarray, ws: np.ndarray, k: int) -> np.ndarray:
-    """Exact 1-D k-means loss for every row of ts at once.
+    """Exact 1-D k-means loss for every row of ts at once (the DP of
+    kmeans_1d_exact, batched across rows).
 
     Each row must be sorted; ws holds the matching weights. Returns the
-    weighted within-cluster SSE divided by the row weight total. Same dynamic
-    program as kmeans_1d_exact, batched across rows.
+    weighted within-cluster SSE divided by the row weight total.
     """
-    g, m = ts.shape
-    cw = np.zeros((g, m + 1))
-    cwt = np.zeros((g, m + 1))
-    cwt2 = np.zeros((g, m + 1))
-    np.cumsum(ws, axis=1, out=cw[:, 1:])
-    np.cumsum(ws * ts, axis=1, out=cwt[:, 1:])
-    np.cumsum(ws * ts * ts, axis=1, out=cwt2[:, 1:])
-
-    def run_cost(s: np.ndarray, i: int) -> np.ndarray:
-        """Weighted SSE of runs [s_j, i) for every row, vectorized over s."""
-        sw = cw[:, i : i + 1] - cw[:, s]
-        s1 = cwt[:, i : i + 1] - cwt[:, s]
-        s2 = cwt2[:, i : i + 1] - cwt2[:, s]
-        ratio = np.zeros_like(s1)
-        np.divide(s1 * s1, sw, out=ratio, where=sw > 0)
-        return np.maximum(s2 - ratio, 0.0)
-
-    # one cluster: cost of the whole prefix [0, i) around its weighted mean
-    ratio = np.zeros_like(cwt[:, 1:])
-    np.divide(cwt[:, 1:] ** 2, cw[:, 1:], out=ratio, where=cw[:, 1:] > 0)
-    cost = np.full((g, m + 1), np.inf)
-    cost[:, 0] = 0.0
-    cost[:, 1:] = np.maximum(cwt2[:, 1:] - ratio, 0.0)
-    for j in range(2, k + 1):
-        new_cost = np.full((g, m + 1), np.inf)
-        for i in range(j, m + 1):
-            s = np.arange(j - 1, i)
-            cand = cost[:, s] + run_cost(s, i)
-            new_cost[:, i] = cand.min(axis=1)
-        cost = new_cost
-    totals = cw[:, m].copy()
+    prefix = weighted_prefix_sums(ts, ws)
+    cost, _ = kmeans_1d_dp(prefix, k)
+    totals = prefix[0][:, -1].copy()
     totals[totals <= 0] = 1.0
-    return cost[:, m] / totals
+    return cost[:, -1] / totals
 
 
 @dataclass(frozen=True)
@@ -402,23 +370,6 @@ def consistency_experiment(
     )
 
 
-def vr_consistency_experiment(
-    pop: PopulationSpec,
-    k: int,
-    q: int,
-    n_grid,
-    reps: int,
-    config: SolverConfig | None = None,
-    angle_grid_size: int = 2000,
-) -> ConvergenceReport:
-    """Same replication engine as consistency_experiment; of interest here are
-    the recorded variance-ratio values, whose medians should drift toward the
-    population value with shrinking interquartile range as n grows."""
-    return consistency_experiment(
-        pop, k, q, n_grid, reps, config=config, angle_grid_size=angle_grid_size
-    )
-
-
 @dataclass(frozen=True)
 class AgreementResult:
     """Agreement outcome for one synthetic-benchmark setting: how often the
@@ -445,7 +396,13 @@ def agreement_experiment(
     """For each setting (q_true, p1, p2, p3): generate and normalize `reps`
     datasets, profile dimensions 1..min(K-1, p) with the selector, score each
     profiled fit by ARI against the ground truth, and count how often the
-    selected dimension matches the ARI-best one."""
+    selected dimension matches the ARI-best one. The solver settings come
+    from ``config`` (default: 50 restarts), with k = K, q = 1 and a seed
+    derived per rep."""
+    if config is None:
+        base = SolverConfig(k=K, q=1, restarts=50)
+    else:
+        base = replace(config, k=K, q=1)
     results = []
     for si, (q_true, p1, p2, p3) in enumerate(settings):
         hits = 0
@@ -458,14 +415,7 @@ def agreement_experiment(
                 )
             )
             q_max = min(K - 1, ds.X.p)
-            cfg = SolverConfig(
-                k=K,
-                q=1,
-                restarts=config.restarts if config is not None else 50,
-                max_iterations=config.max_iterations if config is not None else 300,
-                rel_tolerance=config.rel_tolerance if config is not None else 1e-9,
-                seed=spawn_seed(seed, si, r, 1),
-            )
+            cfg = replace(base, seed=spawn_seed(seed, si, r, 1))
             profile = select_dimension(ds.Z, K, q_max, cfg)
             best_q, best_ari = None, -np.inf
             for q, sol in zip(range(1, q_max + 1), profile.solutions):

@@ -62,13 +62,10 @@ def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
     return within / total
 
 
-def delta2_profile(vr: dict, q_max: int | None = None, literal_form: bool = False) -> dict:
-    """Second-order central difference of the VR sequence at each q.
-
-    Boundaries: VR(0) = 0 and VR(q_max + 1) = VR(q_max). The standard form is
-    VR(q+1) - 2 VR(q) + VR(q-1); ``literal_form`` flips the sign of the
-    VR(q-1) term for comparison against the subtracted-trailing-term variant
-    seen in some write-ups.
+def delta2_profile(vr: dict, q_max: int | None = None) -> dict:
+    """Second-order central difference VR(q+1) - 2 VR(q) + VR(q-1) of the VR
+    sequence at each q, with boundaries VR(0) = 0 and VR(q_max + 1) =
+    VR(q_max).
     """
     if q_max is None:
         q_max = max(vr) if vr else 0
@@ -79,11 +76,7 @@ def delta2_profile(vr: dict, q_max: int | None = None, literal_form: bool = Fals
         raise ValueError(f"vr is missing values for q={missing}")
     ext = {0: 0.0, q_max + 1: float(vr[q_max])}
     ext.update({q: float(vr[q]) for q in range(1, q_max + 1)})
-    sign = -1.0 if literal_form else 1.0
-    return {
-        q: ext[q + 1] - 2.0 * ext[q] + sign * ext[q - 1]
-        for q in range(1, q_max + 1)
-    }
+    return {q: ext[q + 1] - 2.0 * ext[q] + ext[q - 1] for q in range(1, q_max + 1)}
 
 
 def argmax_delta2(delta2: dict) -> int:

@@ -71,13 +71,7 @@ def update_loading(X: DataMatrix, U: Assignment, F: CentroidSet) -> LoadingMatri
         raise ValueError("assignment references more clusters than centroids exist")
     if F.q > X.p:
         raise ValueError(f"q={F.q} exceeds data dimension p={X.p}")
-    return LoadingMatrix(_polar_loading(X.values, U.labels, F.values))
-
-
-def _polar_loading(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
-    m = f[labels].T @ x
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    return vh.T @ u.T
+    return LoadingMatrix(_kernels.polar_loading(X.values, U.labels, F.values))
 
 
 def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignment:
@@ -123,7 +117,7 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     config.validate_against(X)
     x = np.asarray(X.values)
     sx = float(np.sum(x * x))
-    pca_a = _pca_loading(x, config.q) if config.restarts >= 1 else None
+    pca_a = _kernels.principal_axes(x, config.q)
     best = None
     for r in range(config.restarts):
         # the centroid-seeding stream matches the plain k-means baseline so
@@ -152,16 +146,6 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     )
 
 
-def _pca_loading(x: np.ndarray, q: int) -> np.ndarray:
-    xc = x - x.mean(axis=0)
-    _, _, vh = np.linalg.svd(xc, full_matrices=False)
-    if vh.shape[0] >= q:
-        return vh[:q].T.copy()
-    # rank-deficient data: pad with the remaining full-matrices basis
-    _, _, vh = np.linalg.svd(xc, full_matrices=True)
-    return vh[:q].T.copy()
-
-
 def _als_single(
     x: np.ndarray,
     sx: float,
@@ -169,59 +153,15 @@ def _als_single(
     config: SolverConfig,
     rng: np.random.Generator,
 ) -> tuple:
-    n = x.shape[0]
-    k, q = config.k, config.q
+    """One restart from loading a: k-means++ centroids on XA, one assign ->
+    repair -> means step for the labels the polar step needs, then the sweep
+    loop with the loading free."""
     y = x @ a
-    f = _kernels.kmeans_pp_init(y, k, rng)
-    labels = _kernels.assign_to_nearest(y, f)
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        _kernels.repair_empty_clusters(y, f, labels, counts)
-    f = _kernels.cluster_means(y, labels, k, counts)
-
-    trace = []
-    prev = np.inf
-    iterations = 0
-    for _ in range(config.max_iterations):
-        iterations += 1
-        a = _polar_loading(x, labels, f)
-        y = x @ a
-        labels = _kernels.assign_to_nearest(y, f)
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            _kernels.repair_empty_clusters(y, f, labels, counts)
-        f = _kernels.cluster_means(y, labels, k, counts)
-        sy = float(np.sum(y * y))
-        # orthogonal residual plus projected within-SS (ANOVA shortcut);
-        # clamped because the two big terms cancel on zero-loss data
-        loss = max((sx - sy + (sy - float(counts @ np.sum(f * f, axis=1)))) / n, 0.0)
-        trace.append(loss)
-        if np.isfinite(prev) and prev - loss <= config.rel_tolerance * max(abs(prev), 1e-300):
-            prev = loss
-            break
-        prev = loss
-
-    # finalize: stored labels are the argmin for (a, f) and the stored loss is
-    # the min-based objective of (a, f); at a fixed point this changes nothing
-    sy = float(np.sum(y * y))
-    loss = None
-    for _ in range(k + 1):
-        d = _kernels.sq_distances(y, f)
-        labels_f = d.argmin(axis=1)
-        counts = np.bincount(labels_f, minlength=k)
-        if np.all(counts > 0):
-            labels = labels_f
-            loss = max((sx - sy + float(d[np.arange(n), labels_f].sum())) / n, 0.0)
-            break
-        _kernels.repair_empty_clusters(y, f, labels_f, counts)
-        labels = labels_f
-    if loss is None:
-        # absurdly degenerate data (all projections equal); repair left every
-        # cluster non-empty and all distances are zero-like, use assigned form
-        diff = y - f[labels]
-        loss = max((sx - sy + float(np.sum(diff * diff))) / n, 0.0)
-    trace.append(loss)
-    return loss, a, f, labels, trace, iterations
+    f = _kernels.kmeans_pp_init(y, config.k, rng)
+    f, labels, _ = _kernels.means_step(y, f, config.k)
+    return _kernels.sweep_loop(
+        x, sx, a, y, f, labels, config.max_iterations, config.rel_tolerance
+    )
 
 
 def project(X: DataMatrix, sol: RkmSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -176,7 +178,7 @@ def rkm_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> float:
     x = X.values
     y = x @ A.values
     ortho = np.sum(x * x) - np.sum(y * y)
-    d = _sq_distances(y, F.values)
+    d = _kernels.sq_distances(y, F.values)
     return float((ortho + np.sum(d.min(axis=1))) / X.n)
 
 
@@ -213,11 +215,3 @@ def _check_assignment(X: DataMatrix, F: CentroidSet, U: Assignment) -> None:
         raise ValueError(f"assignment has n={U.n} but data has n={X.n}")
     if U.n_clusters > F.k:
         raise ValueError(f"assignment references {U.n_clusters} clusters but only {F.k} centroids exist")
-
-
-def _sq_distances(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of y (n x q) and centers (k x q)."""
-    d = np.sum(y * y, axis=1)[:, None] + np.sum(centers * centers, axis=1)[None, :]
-    d -= 2.0 * (y @ centers.T)
-    np.maximum(d, 0.0, out=d)
-    return d

@@ -36,6 +36,33 @@ def test_kmeans_loss_recomputes():
     assert sol.loss == pytest.approx(direct, rel=1e-9)
 
 
+def test_kmeans_labels_are_the_nearest_center_argmin():
+    # duplicate-heavy small inputs, k up to n and short iteration caps, so
+    # runs stop before convergence and finalizing has labels to change
+    rng = np.random.default_rng(5)
+    for case in range(200):
+        n = int(rng.integers(1, 13))
+        p = int(rng.integers(1, 3))
+        x = rng.integers(0, 3, (n, p)).astype(float)
+        k = int(rng.integers(1, n + 1))
+        sol = kmeans_fit(
+            DataMatrix(x), k, restarts=2, seed=case, max_iterations=int(rng.integers(1, 6))
+        )
+        labels = sol.assignment.labels
+        d = np.sum((x[:, None, :] - sol.centers[None, :, :]) ** 2, axis=2)
+        nearest = d.min(axis=1)
+        near = d <= nearest[:, None] + 1e-9 * (1.0 + nearest[:, None])
+        assert np.all(near[np.arange(n), labels])
+        assert np.all(np.bincount(labels, minlength=k) > 0)
+        # ties go to the smallest index, unless that would empty a cluster
+        # (k above the number of distinct rows puts centers on top of each other)
+        first = near.argmax(axis=1)
+        if np.all(np.bincount(first, minlength=k) > 0):
+            assert np.array_equal(labels, first)
+        diff = x - sol.centers[labels]
+        assert sol.loss == pytest.approx(np.sum(diff * diff) / n, rel=1e-9, abs=1e-12)
+
+
 def test_kmeans_rejects_bad_arguments():
     X = DataMatrix(np.ones((3, 2)))
     with pytest.raises(ValueError):
@@ -92,21 +119,28 @@ def test_1d_exact_rejects_unsorted():
         kmeans_1d_exact([1.0], 2)  # k > n
 
 
-def _enumerate_contiguous(v: np.ndarray, k: int) -> float:
-    """All partitions of sorted v into at most k contiguous blocks."""
+def _enumerate_contiguous(v: np.ndarray, k: int, w: np.ndarray | None = None) -> float:
+    """Least weighted SSE over all partitions of sorted v into k contiguous
+    blocks, per unit weight; each block is scored about its weighted mean."""
     import itertools
 
     n = v.size
+    w = np.ones(n) if w is None else w
     best = np.inf
     for cuts in itertools.combinations(range(1, n), k - 1):
         bounds = (0,) + cuts + (n,)
         cost = 0.0
         for a, b in zip(bounds, bounds[1:]):
-            seg = v[a:b]
-            if seg.size:
-                cost += float(np.sum((seg - seg.mean()) ** 2))
+            cost += _block_cost(v[a:b], w[a:b])
         best = min(best, cost)
-    return best / n
+    return best / float(w.sum())
+
+
+def _block_cost(seg: np.ndarray, w: np.ndarray) -> float:
+    if w.sum() <= 0:
+        return 0.0
+    mean = float(w @ seg) / float(w.sum())
+    return float(w @ (seg - mean) ** 2)
 
 
 def test_1d_exact_matches_enumeration():
@@ -117,6 +151,37 @@ def test_1d_exact_matches_enumeration():
         v = np.sort(rng.uniform(-5, 5, n))
         sol = kmeans_1d_exact(v, k)
         assert sol.loss == pytest.approx(_enumerate_contiguous(v, k), rel=1e-11, abs=1e-14)
+
+
+def test_1d_weighted_matches_enumeration():
+    # zero weights and tied values included; the reference scores every
+    # block directly about its weighted mean, without prefix sums
+    rng = np.random.default_rng(23)
+    for case in range(150):
+        n = int(rng.integers(1, 10))
+        k = int(rng.integers(1, min(4, n) + 1))
+        v = np.sort(rng.uniform(-5, 5, n))
+        if case % 2:
+            v = np.round(v)
+        w = rng.uniform(0.0, 2.0, n)
+        w[rng.random(n) < 0.3] = 0.0
+        if w.sum() <= 0:
+            w[int(rng.integers(n))] = 1.0
+        sol = kmeans_1d_exact(v, k, weights=w)
+        best = _enumerate_contiguous(v, k, w)
+        assert sol.loss == pytest.approx(best, rel=1e-10, abs=1e-12)
+        labels = sol.assignment.labels
+        assert np.all(np.diff(labels) >= 0)
+        assert np.array_equal(np.unique(labels), np.arange(k))
+        own = sum(_block_cost(v[labels == j], w[labels == j]) for j in range(k))
+        assert own / w.sum() == pytest.approx(best, rel=1e-10, abs=1e-12)
+        for j in range(k):
+            run = np.flatnonzero(labels == j)
+            if w[run].sum() > 0:
+                mean = float(w[run] @ v[run]) / float(w[run].sum())
+                assert sol.centers[j, 0] == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            else:
+                assert sol.centers[j, 0] == v[run[0]]
 
 
 def test_1d_weighted_equals_repetition():

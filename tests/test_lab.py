@@ -28,7 +28,6 @@ from rkmeans import (
     oracle_global_min,
     population_risk,
     rate_bound,
-    vr_consistency_experiment,
 )
 from rkmeans.baselines import kmeans_1d_exact
 from rkmeans.lab import _grouped_1d_kmeans_loss, _population_vr
@@ -54,7 +53,6 @@ class TestPopulationSpec:
         pop = four_atom_pop()
         assert pop.m == 4
         assert pop.p == 2
-        assert pop.mean_risk_bound_radius() == pytest.approx(math.sqrt(1.01), rel=1e-15)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pop.m_field = 1  # type: ignore[attr-defined]
         with pytest.raises(ValueError):
@@ -279,18 +277,6 @@ class TestConsistencyExperiment:
 
     def test_bit_identical_reruns(self):
         assert self.run_small().to_json_dict() == self.run_small().to_json_dict()
-
-    def test_vr_variant_shares_the_engine(self):
-        direct = self.run_small()
-        via_vr = vr_consistency_experiment(
-            four_atom_pop(),
-            k=2,
-            q=1,
-            n_grid=(40, 160),
-            reps=3,
-            config=SolverConfig(k=2, q=1, restarts=5, seed=11),
-        )
-        assert direct.to_json_dict() == via_vr.to_json_dict()
 
     def test_supplied_optimum_skips_the_planar_oracle(self):
         atoms = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])

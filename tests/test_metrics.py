@@ -5,14 +5,13 @@ import pytest
 from rkmeans import (
     Assignment,
     CentroidSet,
-    ContingencyTable,
     LoadingMatrix,
     adjusted_rand_index,
-    align_rotation,
     directed_hausdorff,
     param_distance,
     symmetric_hausdorff,
 )
+from rkmeans.metrics import ContingencyTable, align_rotation
 
 
 def test_contingency_table_hand_case():

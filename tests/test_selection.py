@@ -91,14 +91,6 @@ def test_delta2_hand_cases():
     assert delta2_profile({1: 0.0, 2: 0.0}) == {1: 0.0, 2: 0.0}
 
 
-def test_delta2_literal_form_flips_trailing_sign():
-    vr = {1: 0.1, 2: 0.2, 3: 0.9}
-    lit = delta2_profile(vr, literal_form=True)
-    assert lit[2] == pytest.approx(0.9 - 0.4 - 0.1)
-    std = delta2_profile(vr)
-    assert lit[1] == pytest.approx(std[1])  # VR(0)=0 makes both forms agree
-
-
 def test_delta2_validation():
     with pytest.raises(ValueError):
         delta2_profile({}, q_max=0)
