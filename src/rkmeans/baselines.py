@@ -53,6 +53,10 @@ def kmeans_fit(
         raise ValueError(f"k={k} exceeds the number of objects n={X.n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not rel_tolerance > 0:
+        raise ValueError("rel_tolerance must be positive")
     y = np.asarray(X.values)
     best = None
     for r in range(restarts):

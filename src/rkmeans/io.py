@@ -1,8 +1,8 @@
 """File formats and result persistence.
 
 CSV in: a rectangular numeric grid, comma-delimited, with one optional header
-row (auto-detected: any non-numeric cell in the first row). Parse failures
-report 1-based row/column coordinates.
+row (auto-detected: any non-numeric cell in the first row). Blank rows are
+skipped. Parse failures report the 1-based line of the file and column.
 
 Results out: a versioned JSON document; matrices carry explicit row and
 column counts so documents survive schema drift. Serialization is canonical
@@ -41,6 +41,21 @@ def _read_rows(path) -> list:
     return rows
 
 
+def _file_line(path, index: int) -> int:
+    """1-based line of the file on which the index-th row that _read_rows
+    keeps starts. Only error paths call it, so the parse counts no lines."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row and not all(c.strip() == "" for c in row):
+                if index == 0:
+                    return line
+                index -= 1
+            line = reader.line_num + 1
+    raise ValueError(f"{path} has fewer than {index + 1} non-blank rows")
+
+
 def load_csv(path) -> DataMatrix:
     """Read an n x p numeric matrix, skipping one auto-detected header row."""
     rows = _read_rows(path)
@@ -54,13 +69,13 @@ def load_csv(path) -> DataMatrix:
     for i, row in enumerate(rows[start:], start=start):
         if len(row) != width:
             raise CsvParseError(
-                f"expected {width} columns, found {len(row)}", row=i + 1
+                f"expected {width} columns, found {len(row)}", row=_file_line(path, i)
             )
         for j, cell in enumerate(row):
             value = _parse_cell(cell)
             if value is None:
                 raise CsvParseError(
-                    f"non-numeric cell {cell!r}", row=i + 1, column=j + 1
+                    f"non-numeric cell {cell!r}", row=_file_line(path, i), column=j + 1
                 )
             data[i - start, j] = value
     try:
@@ -78,7 +93,11 @@ def load_labels_csv(path, n_clusters: int | None = None) -> Assignment:
     labels = values.astype(np.int64)
     if np.any(labels != values):
         bad = int(np.flatnonzero(labels != values)[0])
-        raise CsvParseError("labels must be integers", row=bad + 1, column=1)
+        # the rows load_csv read, less its data rows, is its header count
+        header = len(_read_rows(path)) - matrix.n
+        raise CsvParseError(
+            "labels must be integers", row=_file_line(path, bad + header), column=1
+        )
     if labels.min() < 0:
         raise CsvParseError("labels must be >= 0")
     k = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)

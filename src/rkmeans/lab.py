@@ -284,17 +284,24 @@ def check_distinctness(pop: PopulationSpec, k: int, angle_grid_size: int = 2000)
     A population whose optimal loss does not strictly improve with every
     added cluster violates the premise of the consistency statements.
     """
-    losses = tuple(
-        oracle_global_min(pop, j, angle_grid_size=angle_grid_size).loss
+    return tuple(opt.loss for opt in _distinct_optima(pop, k, angle_grid_size))
+
+
+def _distinct_optima(pop: PopulationSpec, k: int, angle_grid_size: int) -> tuple:
+    """check_distinctness, returning the oracle solutions for 1..k clusters,
+    so a caller that needs the k-cluster optimum does not solve it again."""
+    optima = tuple(
+        oracle_global_min(pop, j, angle_grid_size=angle_grid_size)
         for j in range(1, k + 1)
     )
+    losses = [opt.loss for opt in optima]
     for j in range(1, len(losses)):
         if not losses[j] < losses[j - 1]:
             raise DegenerateDataError(
                 f"optimal losses are not strictly decreasing in the cluster "
                 f"count: m_{j}={losses[j - 1]!r} vs m_{j + 1}={losses[j]!r}"
             )
-    return losses
+    return optima
 
 
 def _sample(pop: PopulationSpec, n: int, rng: np.random.Generator) -> DataMatrix:
@@ -329,8 +336,7 @@ def consistency_experiment(
             raise ValueError(
                 "no analytic optimum supplied and the oracle needs p=2, q=1"
             )
-        check_distinctness(pop, k, angle_grid_size=angle_grid_size)
-        optimum = oracle_global_min(pop, k, angle_grid_size=angle_grid_size)
+        optimum = _distinct_optima(pop, k, angle_grid_size)[-1]
     oracle_vr = None
     try:
         oracle_vr = _population_vr(pop, optimum)

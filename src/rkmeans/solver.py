@@ -108,6 +108,9 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     Gaussian p x q matrix. Centroids always start from k-means++ on XA. Each
     restart derives its RNG stream from (seed, restart index), so the outcome
     does not depend on execution order; loss ties keep the smallest index.
+    Restarts run in lockstep batches (``_kernels.sweep_restarts``) whose
+    width depends on the input's shape only; each restart's result is
+    bitwise what it would be on its own.
 
     The returned solution is finalized so that its assignment is the nearest-
     centroid rule for its (loading, centroids) and its loss is exactly the
@@ -118,21 +121,17 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     x = np.asarray(X.values)
     sx = float(np.sum(x * x))
     pca_a = _kernels.principal_axes(x, config.q)
+    width = _kernels.batch_width(x.shape[0], config.k, config.restarts)
     best = None
-    for r in range(config.restarts):
-        # the centroid-seeding stream matches the plain k-means baseline so
-        # the two solvers are restart-for-restart comparable when q == p;
-        # the loading draw gets its own stream to keep that alignment
-        rng = spawn_rng(config.seed, r)
-        if r == 0:
-            a0 = pca_a
-        else:
-            g = spawn_rng(config.seed, r, 1).standard_normal((X.p, config.q))
-            u, _, vh = np.linalg.svd(g, full_matrices=False)
-            a0 = u @ vh
-        result = _als_single(x, sx, a0, config, rng)
-        if best is None or result[0] < best[0]:
-            best = result + (r,)
+    for first in range(0, config.restarts, width):
+        chunk = range(first, min(first + width, config.restarts))
+        results = _kernels.sweep_restarts(
+            x, sx, *_starts(x, config, pca_a, chunk),
+            config.max_iterations, config.rel_tolerance,
+        )
+        for r, result in zip(chunk, results):
+            if best is None or result[0] < best[0]:
+                best = result + (r,)
     loss, a, f, labels, trace, iterations, r = best
     return RkmSolution(
         loading=LoadingMatrix(a),
@@ -146,22 +145,28 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     )
 
 
-def _als_single(
-    x: np.ndarray,
-    sx: float,
-    a: np.ndarray,
-    config: SolverConfig,
-    rng: np.random.Generator,
-) -> tuple:
-    """One restart from loading a: k-means++ centroids on XA, one assign ->
-    repair -> means step for the labels the polar step needs, then the sweep
-    loop with the loading free."""
-    y = x @ a
-    f = _kernels.kmeans_pp_init(y, config.k, rng)
-    f, labels, _ = _kernels.means_step(y, f, config.k)
-    return _kernels.sweep_loop(
-        x, sx, a, y, f, labels, config.max_iterations, config.rel_tolerance
-    )
+def _starts(x: np.ndarray, config: SolverConfig, pca_a: np.ndarray, restarts: range) -> tuple:
+    """Stacked starts (loadings, scores XA, k-means++ centroids) of the given
+    restarts, as sweep_restarts takes them. Restart 0 starts from the
+    principal axes pca_a, later ones from the polar factor of a Gaussian."""
+    n, p = x.shape
+    k, q = config.k, config.q
+    a0 = np.empty((len(restarts), p, q))
+    y0 = np.empty((len(restarts), n, q))
+    f0 = np.empty((len(restarts), k, q))
+    for j, r in enumerate(restarts):
+        if r == 0:
+            a0[j] = pca_a
+        else:
+            g = spawn_rng(config.seed, r, 1).standard_normal((p, q))
+            u, _, vh = np.linalg.svd(g, full_matrices=False)
+            a0[j] = u @ vh
+        y0[j] = x @ a0[j]
+        # the centroid-seeding stream matches the plain k-means baseline so
+        # the two solvers are restart-for-restart comparable when q == p;
+        # the loading draw gets its own stream to keep that alignment
+        f0[j] = _kernels.kmeans_pp_init(y0[j], k, spawn_rng(config.seed, r))
+    return a0, y0, f0
 
 
 def project(X: DataMatrix, sol: RkmSolution) -> tuple[np.ndarray, np.ndarray]:

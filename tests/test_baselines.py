@@ -75,6 +75,23 @@ def test_kmeans_rejects_bad_arguments():
         KmeansSolution(np.zeros((2, 1)), Assignment([0, 1], 2), loss=-0.1)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"max_iterations": -5, "rel_tolerance": -1.0}, "max_iterations"),
+    ({"rel_tolerance": 0.0}, "rel_tolerance"),
+    ({"rel_tolerance": -1.0}, "rel_tolerance"),
+    ({"rel_tolerance": float("nan")}, "rel_tolerance"),
+])
+def test_kmeans_rejects_bad_stopping_rules(settings, message):
+    # the same settings SolverConfig rejects; an unchecked cap of 0 or less
+    # used to return the unrefined k-means++ start without complaint
+    X = DataMatrix(np.random.default_rng(0).standard_normal((20, 2)))
+    with pytest.raises(ValueError, match=message):
+        kmeans_fit(X, 3, **settings)
+    with pytest.raises(ValueError, match=message):
+        tandem_fit(X, 3, 1, **settings)
+
+
 def _brute_force_kmeans(pts: np.ndarray, k: int) -> float:
     """Exact optimum by enumerating every k^n assignment, vectorized."""
     n = pts.shape[0]

@@ -59,6 +59,19 @@ class TestLoadCsv:
         assert err.value.row == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("text, match, line, column", [
+        ("1,2\n\n\n3\n", r"expected 2 columns.*\(row 4\)", 4, None),
+        ("a,b\n\n1,2\n3,x\n", r"'x'.*\(row 4, column 2\)", 4, 2),
+        ("a,b\n , \n1,2\n\n\n5,6,7\n", r"expected 2 columns.*\(row 6\)", 6, None),
+        ('"a\nb",c\n1,2\n\n"3\n",x\n', r"'x'.*\(row 5, column 2\)", 5, 2),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, match, line, column):
+        # blank lines and a header still count; a quoted cell may span lines,
+        # and a row is reported at the line it starts on
+        with pytest.raises(CsvParseError, match=match) as err:
+            load_csv(write(tmp_path / "a.csv", text))
+        assert (err.value.row, err.value.column) == (line, column)
+
     def test_non_finite_matrix_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="invalid matrix"):
             load_csv(write(tmp_path / "a.csv", "nan,1\n2,3\n"))
@@ -81,6 +94,15 @@ class TestLabels:
     def test_fractional_label_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match=r"integers \(row 2"):
             load_labels_csv(write(tmp_path / "l.csv", "0\n1.5\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("label\n0\n1.5\n", 3),
+        ("label\n\n0\n\n2.5\n1\n", 5),
+        ("\n0\n0.5\n", 3),
+    ])
+    def test_fractional_label_names_the_file_line(self, tmp_path, text, line):
+        with pytest.raises(CsvParseError, match=rf"integers \(row {line}, column 1\)"):
+            load_labels_csv(write(tmp_path / "l.csv", text))
 
     def test_negative_label_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match=">= 0"):

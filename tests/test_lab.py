@@ -278,6 +278,19 @@ class TestConsistencyExperiment:
     def test_bit_identical_reruns(self):
         assert self.run_small().to_json_dict() == self.run_small().to_json_dict()
 
+    def test_oracle_solves_each_cluster_count_once(self, monkeypatch):
+        # the distinctness check's k-cluster solution is the optimum itself
+        from rkmeans import lab
+
+        solved = []
+        oracle = lab.oracle_global_min
+        monkeypatch.setattr(lab, "oracle_global_min",
+                            lambda pop, k, **kw: solved.append(k) or oracle(pop, k, **kw))
+        report = self.run_small()
+        assert solved == [1, 2]
+        optimum = oracle(four_atom_pop(), 2)
+        assert (report.oracle_loss, report.oracle_gap) == (optimum.loss, optimum.grid_gap)
+
     def test_supplied_optimum_skips_the_planar_oracle(self):
         atoms = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         pop = PopulationSpec(atoms, np.array([0.5, 0.5]))

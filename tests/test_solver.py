@@ -201,3 +201,86 @@ def test_origin_line_duplicates_are_lossless():
     X = DataMatrix(np.repeat([[1.0, 2.0], [-1.0, -2.0]], 6, axis=0))
     sol = fit_rkm(X, SolverConfig(k=2, q=1, restarts=4, seed=0))
     assert sol.loss == pytest.approx(0.0, abs=1e-18)
+
+
+def _run_bits(result):
+    loss, a, f, labels, trace, iterations = result
+    return (repr(loss), None if a is None else a.tobytes(), f.tobytes(), labels.tobytes(),
+            repr(trace), iterations)
+
+
+def _small_grid_cases(seed):
+    """Small inputs on an integer grid: duplicate rows, tied distances and
+    tied restart losses, k up to n, iteration caps 1-5."""
+    rng = np.random.default_rng(seed)
+    for case in range(60):
+        n = int(rng.integers(2, 14))
+        p = int(rng.integers(1, 5))
+        x = rng.integers(-1, 2, size=(n, p)).astype(float)
+        x[: n // 3] = x[n // 3 : 2 * (n // 3)]
+        yield case, x, int(rng.integers(1, n + 1)), int(rng.integers(1, p + 1)), \
+            int(rng.integers(1, 6)), int(rng.integers(3, 9))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
+def test_restart_batches_are_width_invariant(held, monkeypatch):
+    # every restart's (loss, A, F, labels, trace, iterations) must not depend
+    # on how many restarts share its batch: widths 1, 2 and all of them
+    from rkmeans import _kernels, solver
+    from rkmeans._seeds import spawn_rng
+
+    repair = _kernels.repair_empty_clusters
+    repairs = []
+    monkeypatch.setattr(_kernels, "repair_empty_clusters",
+                        lambda *args: repairs.append(1) or repair(*args))
+    for case, x, k, q, cap, R in _small_grid_cases(5 + held):
+        sx = float(np.sum(x * x))
+        if held:
+            a0, y0 = None, np.repeat(x[None], R, axis=0)
+            f0 = np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r)) for r in range(R)])
+        else:
+            config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
+            a0, y0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+        runs = {}
+        for width in (1, 2, R):
+            results = []
+            for first in range(0, R, width):
+                part = slice(first, first + width)
+                results += _kernels.sweep_restarts(
+                    x, sx, None if held else a0[part], y0[part], f0[part].copy(), cap, 1e-9)
+            runs[width] = [_run_bits(result) for result in results]
+        assert runs[1] == runs[2] == runs[R], f"case {case}"
+        if held:
+            for r in range(R):
+                centers, labels, loss, iterations = _kernels.lloyd_single(
+                    x, k, spawn_rng(case, r), cap, 1e-9)
+                assert runs[1][r][:4] == (repr(loss), None, centers.tobytes(), labels.tobytes())
+                assert runs[1][r][5] == iterations
+    assert repairs, "no input exercised the empty-cluster repair"
+
+
+def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
+    # fit_rkm batches its restarts; at any batch width it must return the
+    # lowest-loss restart of lone runs, ties going to the smallest index
+    from rkmeans import _kernels, solver
+
+    ties = 0
+    for case, x, k, q, cap, R in _small_grid_cases(9):
+        X = DataMatrix(x)
+        config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
+        a0, y0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+        lone = [_kernels.sweep_restarts(x, float(np.sum(x * x)), a0[r:r + 1], y0[r:r + 1],
+                                        f0[r:r + 1], cap, 1e-9)[0] for r in range(R)]
+        losses = [result[0] for result in lone]
+        best = losses.index(min(losses))
+        ties += losses.count(min(losses)) > 1
+        loss, a, f, labels, trace, iterations = lone[best]
+        for width in (1, 2, R):
+            monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
+            sol = fit_rkm(X, config)
+            assert (sol.restart_index, repr(sol.loss), sol.sweep_losses, sol.iterations) == \
+                (best, repr(loss), tuple(trace), iterations), f"case {case}, width {width}"
+            assert sol.loading.values.tobytes() == a.tobytes()
+            assert sol.centroids.values.tobytes() == f.tobytes()
+            assert np.array_equal(sol.assignment.labels, labels)
+    assert ties, "no input had tied restart losses"
