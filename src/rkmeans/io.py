@@ -1,8 +1,19 @@
 """File formats and result persistence.
 
 CSV in: a rectangular numeric grid, comma-delimited, with one optional header
-row (auto-detected: any non-numeric cell in the first row). Blank rows are
-skipped. Parse failures report the 1-based line of the file and column.
+row (auto-detected: a cell of the first non-blank row that float() rejects).
+Blank rows (no cell holds more than whitespace) are skipped. Two readers give
+the same bits. csv.reader finds the first non-blank row and the header test
+runs on it; then numpy's C reader takes the rest of the file as plain lines:
+unquoted cells numpy reads as numbers, the same cell count on every line, and
+no line to skip but empty ones. A file numpy refuses -- quotes, whitespace-only
+or comma-only rows, ragged rows, bad cells, ``1_0``, a BOM, the separators
+\\x1c-\\x1f, a header with no data -- goes to the csv.reader walk, which
+parses each cell with float(). Only the walk reports parse failures, naming
+the 1-based line of the file and the column.
+
+CSV out: csv's excel dialect (``\\r\\n`` line ends, a header cell quoted
+where needed); data cells are ``repr`` of each float, written a row at a time.
 
 Results out: a versioned JSON document; matrices carry explicit row and
 column counts so documents survive schema drift. Serialization is canonical
@@ -29,55 +40,100 @@ def _parse_cell(cell: str):
         return None
 
 
-def _read_rows(path) -> list:
+def _is_blank(row) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _is_header(row) -> bool:
+    return any(_parse_cell(cell) is None for cell in row)
+
+
+def _open(path):
     try:
-        with open(path, "r", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
+        return open(path, "r", newline="")
     except FileNotFoundError:
         raise CsvParseError(f"no such file: {path}")
-    rows = [row for row in rows if row and not all(c.strip() == "" for c in row)]
-    if not rows:
-        raise CsvParseError(f"{path} contains no data")
-    return rows
 
 
-def _file_line(path, index: int) -> int:
-    """1-based line of the file on which the index-th row that _read_rows
-    keeps starts. Only error paths call it, so the parse counts no lines."""
-    with open(path, "r", newline="") as fh:
+def _plain_lines(fh):
+    """The file's lines for numpy, refusing any with one of the separators
+    \\x1c-\\x1f: numpy strips them around a number, float() does not."""
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("line holds a separator in \\x1c-\\x1f")
+        yield line
+
+
+def _read_c(path):
+    """The matrix through numpy's C reader, or None where the walk must decide:
+    a file with no data rows, or any line numpy refuses."""
+    with _open(path) as fh:
+        reader = csv.reader(fh)
+        skip = 0
+        for row in reader:
+            if not _is_blank(row):
+                break
+            skip = reader.line_num
+        else:
+            return None
+        if _is_header(row):
+            skip = reader.line_num
+            # numpy warns on an empty body; the walk names the error
+            if all(_is_blank(rest) for rest in reader):
+                return None
+        fh.seek(0)
+        try:
+            return np.loadtxt(_plain_lines(fh), delimiter=",",
+                              comments=None, ndmin=2, skiprows=skip)
+        except ValueError:
+            return None
+
+
+def _data_rows(path) -> list:
+    """The csv.reader walk: each data row, blank rows and the header dropped,
+    as (1-based file line the row starts on, cells)."""
+    rows = []
+    with _open(path) as fh:
         reader = csv.reader(fh)
         line = 1
         for row in reader:
-            if row and not all(c.strip() == "" for c in row):
-                if index == 0:
-                    return line
-                index -= 1
+            if not _is_blank(row):
+                rows.append((line, row))
             line = reader.line_num + 1
-    raise ValueError(f"{path} has fewer than {index + 1} non-blank rows")
+    if not rows:
+        raise CsvParseError(f"{path} contains no data")
+    if _is_header(rows[0][1]):
+        if len(rows) == 1:
+            raise CsvParseError(f"{path} has a header but no data rows")
+        del rows[0]
+    return rows
+
+
+def _data_line(path, index: int) -> int:
+    """1-based file line on which data row ``index`` starts. Error paths only."""
+    return _data_rows(path)[index][0]
+
+
+def _read_walk(path) -> np.ndarray:
+    rows = _data_rows(path)
+    width = len(rows[0][1])
+    data = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise CsvParseError(f"expected {width} columns, found {len(row)}", row=line)
+        for j, cell in enumerate(row):
+            value = _parse_cell(cell)
+            if value is None:
+                raise CsvParseError(f"non-numeric cell {cell!r}", row=line, column=j + 1)
+            data[i, j] = value
+    return data
 
 
 def load_csv(path) -> DataMatrix:
     """Read an n x p numeric matrix, skipping one auto-detected header row."""
-    rows = _read_rows(path)
-    start = 0
-    if any(_parse_cell(c) is None for c in rows[0]):
-        start = 1
-        if len(rows) == 1:
-            raise CsvParseError(f"{path} has a header but no data rows")
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start):
-        if len(row) != width:
-            raise CsvParseError(
-                f"expected {width} columns, found {len(row)}", row=_file_line(path, i)
-            )
-        for j, cell in enumerate(row):
-            value = _parse_cell(cell)
-            if value is None:
-                raise CsvParseError(
-                    f"non-numeric cell {cell!r}", row=_file_line(path, i), column=j + 1
-                )
-            data[i - start, j] = value
+    data = _read_c(path)
+    if data is None:
+        data = _read_walk(path)
     try:
         return DataMatrix(data)
     except ValueError as exc:
@@ -91,37 +147,35 @@ def load_labels_csv(path, n_clusters: int | None = None) -> Assignment:
         raise CsvParseError(f"label files must have one column, found {matrix.p}")
     values = matrix.values[:, 0]
     labels = values.astype(np.int64)
-    if np.any(labels != values):
-        bad = int(np.flatnonzero(labels != values)[0])
-        # the rows load_csv read, less its data rows, is its header count
-        header = len(_read_rows(path)) - matrix.n
-        raise CsvParseError(
-            "labels must be integers", row=_file_line(path, bad + header), column=1
-        )
-    if labels.min() < 0:
-        raise CsvParseError("labels must be >= 0")
+    fractional = np.flatnonzero(labels != values)
+    if fractional.size:
+        raise CsvParseError("labels must be integers",
+                            row=_data_line(path, fractional[0]), column=1)
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        raise CsvParseError("labels must be >= 0",
+                            row=_data_line(path, negative[0]), column=1)
     k = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
     return Assignment(labels, k)
 
 
 def write_matrix_csv(path, values, header=None) -> None:
     arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {arr.shape}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(header)
+        # csv.writer's bytes: a float's repr never needs quoting
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in arr.tolist())
 
 
 def write_labels_csv(path, labels, header="label") -> None:
     arr = np.asarray(labels, dtype=np.int64).reshape(-1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow([header])
-        for value in arr:
-            writer.writerow([int(value)])
+            csv.writer(fh).writerow([header])
+        fh.writelines(f"{value}\r\n" for value in arr.tolist())
 
 
 def matrix_payload(values, order: str = "row") -> dict:

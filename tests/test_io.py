@@ -1,4 +1,9 @@
 """CSV parsing, matrix payloads, and the versioned result document."""
+import csv
+import io
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +82,122 @@ class TestLoadCsv:
             load_csv(write(tmp_path / "a.csv", "nan,1\n2,3\n"))
 
 
+def walk_reference(path):
+    """load_csv restated as a csv.reader walk with float() on every cell:
+    the reference both of its readers must match."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        rows, line = [], 1
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append((line, row))
+            line = reader.line_num + 1
+    if not rows:
+        raise CsvParseError(f"{path} contains no data")
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    if any(number(cell) is None for cell in rows[0][1]):
+        if len(rows) == 1:
+            raise CsvParseError(f"{path} has a header but no data rows")
+        rows = rows[1:]
+    width = len(rows[0][1])
+    data = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise CsvParseError(f"expected {width} columns, found {len(row)}", row=line)
+        for j, cell in enumerate(row):
+            if number(cell) is None:
+                raise CsvParseError(f"non-numeric cell {cell!r}", row=line, column=j + 1)
+            data[i, j] = number(cell)
+    try:
+        return DataMatrix(data)
+    except ValueError as exc:
+        raise CsvParseError(f"invalid matrix in {path}: {exc}")
+
+
+NUMBERS = ["+1.5", ".5", "1.", "1e5", "1E-300", "-0", "0", "3", "-2.25", "7.0e-1",
+           "1.7976931348623157e308", "5e-324", "0.1", "123456789012345678901"]
+ODD_CELLS = ["1_0", "nan", "inf", "-Infinity", "0x1p3", "x", "", '"1"', '"2.5"',
+             '"1\n2"', "#3", "1 # c", "\ufeff1", "1 2", "\u0661"]
+PADS = ["", "", "", " ", "\t", "\x0c", "\x85", "\u3000", "\x1c", "\x1f"]
+ENDS = ["\n", "\n", "\r\n", "\r"]
+SPECIAL_ROWS = ["", " ", "\t", ",", " , ", ",,", "\x0c", "#3,4", "#"]
+FIRST_LINES = ["a,b", '"a,b",c', "label", 'x,"y', "1,b", '"1",2', '"1","2"',
+           '"a\nb",c', "\ufeff1,2", "\ufeffa,b"]
+
+
+def random_csv(rng):
+    """One CSV text built from tokens: mostly plain numbers, now and then a
+    token one of the two readers treats specially."""
+    def pick(pool, odd, p):
+        return rng.choice(odd) if rng.random() < p else rng.choice(pool)
+
+    width = rng.randint(1, 3)
+    odd = rng.random() < 0.6
+    lines = []
+    if rng.random() < 0.25:
+        lines.append(rng.choice(FIRST_LINES))
+    for _ in range(rng.randint(0, 4)):
+        if odd and rng.random() < 0.15:
+            lines.append(rng.choice(SPECIAL_ROWS))
+            continue
+        cells = width + (rng.choice([-1, 1]) if odd and rng.random() < 0.1 else 0)
+        row = ",".join(
+            pick(PADS[:4], PADS, 0.15 if odd else 0.0)
+            + pick(NUMBERS, ODD_CELLS, 0.12 if odd else 0.0)
+            + pick(PADS[:4], PADS, 0.15 if odd else 0.0)
+            for _ in range(max(cells, 1))
+        )
+        lines.append(row + ("," if odd and rng.random() < 0.05 else ""))
+    if odd and rng.random() < 0.3:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(SPECIAL_ROWS))
+    ends = ENDS if odd else ENDS[:3]
+    text = "".join(line + rng.choice(ends) for line in lines)
+    if odd and text and rng.random() < 0.15:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(load, path):
+    try:
+        X = load(path)
+    except CsvParseError as exc:
+        return ("error", str(exc))
+    return ("matrix", X.values.shape, X.values.tobytes())
+
+
+def test_load_csv_matches_the_cell_walk(tmp_path, monkeypatch):
+    # every text: load_csv returns the walk's bits or raises its message, and
+    # warns about nothing; a healthy share of texts must take each reader
+    import rkmeans.io as rkm_io
+
+    walked = []
+    real_walk = rkm_io._read_walk
+    monkeypatch.setattr(rkm_io, "_read_walk", lambda path: walked.append(path) or real_walk(path))
+    rng = random.Random(20240611)
+    fast = slow = 0
+    for i in range(400):
+        text = random_csv(rng)
+        path = tmp_path / f"t{i}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(walk_reference, path)
+        walked.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(load_csv, path)
+        assert got == expected, repr(text)
+        if walked:
+            slow += 1
+        elif got[0] == "matrix":
+            fast += 1
+    assert fast >= 100 and slow >= 100, (fast, slow)
+
+
 class TestLabels:
     def test_load_with_header(self, tmp_path):
         a = load_labels_csv(write(tmp_path / "l.csv", "label\n0\n1\n0\n"))
@@ -107,6 +228,15 @@ class TestLabels:
     def test_negative_label_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match=">= 0"):
             load_labels_csv(write(tmp_path / "l.csv", "-1\n0\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("label\n0\n-1\n2\n", 3),
+        ("label\n\n0\n\n-2\n-1\n", 5),
+        ("-1\n0\n", 1),
+    ])
+    def test_negative_label_names_the_file_line(self, tmp_path, text, line):
+        with pytest.raises(CsvParseError, match=rf">= 0 \(row {line}, column 1\)"):
+            load_labels_csv(write(tmp_path / "l.csv", text))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "l.csv"
@@ -146,6 +276,57 @@ class TestMatrixRoundTrips:
         bad = {"rows": 3, "cols": 1, "order": "row", "data": [[1.0], [2.0]]}
         with pytest.raises(ValueError, match="claims"):
             matrix_from_payload(bad)
+
+
+def csv_writer_bytes(rows, header=None):
+    """What csv.writer (excel dialect) writes for the rows and header."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if header is not None:
+        writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+class TestWritersMatchCsvWriter:
+    SPECIAL = [-0.0, 0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e308,
+               -1.7976931348623157e308, 3.0, -42.0, 1e16, 0.1, 1 / 3, 1e-5]
+
+    def matrices(self):
+        rng = np.random.default_rng(11)
+        for shape in [(1, 1), (1, 6), (7, 1), (5, 3), (40, 15)]:
+            base = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+            mask = rng.random(shape) < 0.3
+            base[mask] = rng.choice(self.SPECIAL, size=int(mask.sum()))
+            yield base
+        yield np.array(self.SPECIAL).reshape(1, -1)
+        yield np.array(self.SPECIAL).reshape(-1, 1)
+        yield np.floor(rng.standard_normal((6, 4)) * 100)
+
+    @pytest.mark.parametrize("header", [None, ["x1", "x2"], ["a,b", 'say "hi"']])
+    def test_matrix_bytes(self, tmp_path, header):
+        for i, values in enumerate(self.matrices()):
+            head = None if header is None else (header * values.shape[1])[:values.shape[1]]
+            path = tmp_path / f"m{i}.csv"
+            write_matrix_csv(path, values, header=head)
+            expected = csv_writer_bytes([[repr(float(v)) for v in row] for row in values], head)
+            assert path.read_bytes() == expected
+
+    def test_one_dimensional_input_is_one_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [1.0, -0.0, 2.5])
+        assert path.read_bytes() == b"1.0,-0.0,2.5\r\n"
+
+    @pytest.mark.parametrize("header", ["label", None, "a,b"])
+    def test_label_bytes(self, tmp_path, header):
+        rng = np.random.default_rng(5)
+        for i, labels in enumerate([[0], [3, 0, 12], rng.integers(0, 10**9, 50), []]):
+            path = tmp_path / f"l{i}.csv"
+            write_labels_csv(path, labels, header=header)
+            expected = csv_writer_bytes([[int(v)] for v in labels],
+                                        None if header is None else [header])
+            assert path.read_bytes() == expected
 
 
 class TestResultDocument:

@@ -3,13 +3,16 @@
 The tracer wraps rkmeans functions by name; a renamed or deleted function
 breaks every traced benchmark run, and no other test would notice.
 """
+import contextlib
 import importlib.util
+import io
+import os
 from pathlib import Path
 
 import numpy as np
 
 import rkmeans
-from rkmeans import DataMatrix, SolverConfig, _kernels
+from rkmeans import DataMatrix, SolverConfig, _kernels, cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -65,3 +68,31 @@ def test_traced_fits_keep_the_hooks_firing():
     assert tracer.counters["kernels.sq_distances.gflop"] > 0
     assert _kernels.kmeans_pp_init.__module__ == "rkmeans._kernels"
     assert not hasattr(_kernels.kmeans_pp_init, "__wrapped__")
+
+
+def test_traced_io_hooks_keep_firing(tmp_path):
+    # the tracer counts load_csv calls and their file sizes; the labels file
+    # must reach it too, so load_labels_csv has to call the module-level
+    # load_csv, and each coordinate file is one write_matrix_csv call
+    rng = np.random.default_rng(4)
+    data, truth = tmp_path / "x.csv", tmp_path / "x.labels.csv"
+    rkmeans.write_matrix_csv(data, rng.standard_normal((40, 3)))
+    rkmeans.write_labels_csv(truth, rng.integers(0, 2, 40))
+    tracer = _load_tracer().Tracer()
+    tracer.install(rkmeans)
+    try:
+        tracer.op = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["fit", "--input", str(data), "--clusters", "2", "--dims", "1",
+                           "--restarts", "2", "--truth", str(truth), "--emit-coords",
+                           "--output", str(tmp_path / "fit.json")])
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.calls["io.load_csv"] == 2
+    assert tracer.calls["io.load_labels_csv"] == 1
+    sizes = os.path.getsize(data) / 1e6 + os.path.getsize(truth) / 1e6
+    assert abs(tracer.counters["io.load_csv.mb"] - sizes) <= 1e-12
+    assert tracer.calls["io.write_matrix_csv"] == 3
+    assert tracer.calls["io.ResultDocument.write"] == 1
