@@ -113,7 +113,8 @@ def repair_empty_clusters(
     y: np.ndarray, centers: np.ndarray, labels: np.ndarray, counts: np.ndarray
 ) -> None:
     """Give every empty cluster one point: a member of a cluster with at least
-    two points, chosen farthest from its own center. Mutates all arguments.
+    two points, chosen farthest from its own center. Mutates centers, labels
+    and counts; y is only read.
 
     Moving the point onto the empty center (distance zero) never increases the
     assigned loss, and a donor always exists when n >= k (pigeonhole), so the

@@ -11,6 +11,7 @@ import numpy as np
 from . import _kernels
 from ._seeds import spawn_rng
 from .errors import DegenerateDataError
+from .solver import SolverConfig
 from .types import Assignment, DataMatrix, LoadingMatrix, _frozen_array
 
 
@@ -47,16 +48,8 @@ def kmeans_fit(
     restart index.
     """
     k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > X.n:
-        raise ValueError(f"k={k} exceeds the number of objects n={X.n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if not rel_tolerance > 0:
-        raise ValueError("rel_tolerance must be positive")
+    SolverConfig(k=k, q=X.p, restarts=restarts, max_iterations=max_iterations,
+                 rel_tolerance=rel_tolerance, seed=seed).validate_against(X)
     y = np.asarray(X.values)
     best = None
     for r in range(restarts):

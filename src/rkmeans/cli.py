@@ -4,7 +4,9 @@ Subcommands: fit, kmeans, tandem, select-dim, gen, bench-consistency,
 bench-agreement, rate-bound. Exit codes: 0 success, 1 usage error, 2 data
 error. Set RKM_LOG=debug or RKM_LOG=info for diagnostics on stderr. Every
 command with a --seed produces byte-identical JSON on reruns (timing fields
-aside).
+aside). A JSON result echoes in its config every argument that shapes the
+result; the output-routing flags (--output, --format, --emit-coords,
+--truth) and --threads are left out.
 """
 from __future__ import annotations
 
@@ -53,6 +55,10 @@ PRESETS = {
 # four symmetric atoms whose optimal one-dimensional clustering is known in
 # closed form; the default population for bench-consistency
 DEMO_ATOMS = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))
+
+# parsed arguments that only route output or change nothing; a result
+# document's config echoes all the others
+NOT_ECHOED = frozenset({"command", "func", "output", "format", "emit_coords", "truth", "threads"})
 
 
 class UsageError(Exception):
@@ -176,14 +182,14 @@ def build_parser() -> _Parser:
 def _load_input(args) -> DataMatrix:
     X = load_csv(args.input)
     log.info("loaded %dx%d matrix from %s", X.n, X.p, args.input)
-    if getattr(args, "normalize", False):
+    if args.normalize:
         X = normalize_columns(X)
         log.debug("normalized columns to zero mean, unit variance")
     return X
 
 
 def _ari_against_truth(args, assignment) -> dict | None:
-    if not getattr(args, "truth", None):
+    if not args.truth:
         return None
     truth = load_labels_csv(args.truth)
     if truth.n != assignment.n:
@@ -193,7 +199,21 @@ def _ari_against_truth(args, assignment) -> dict | None:
     return {"ari": adjusted_rand_index(assignment, truth)}
 
 
-def _emit(args, doc: ResultDocument) -> None:
+def _timed(fn, *args, **kwargs):
+    """fn's result and the wall-clock timing block of the call."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, {"seconds": time.perf_counter() - started}
+
+
+def _emit(args, solution, metrics=None, timing=None, **overrides) -> None:
+    """Write the command's result document to --output, or to stdout. The
+    config echoes every parsed argument but the NOT_ECHOED ones, then the
+    overrides."""
+    config = {key: value for key, value in vars(args).items() if key not in NOT_ECHOED}
+    config.update(overrides)
+    doc = ResultDocument(command=args.command, config=config, solution=solution,
+                         metrics=metrics, timing=timing or {})
     if args.output:
         doc.write(args.output)
         log.info("wrote %s", args.output)
@@ -201,44 +221,22 @@ def _emit(args, doc: ResultDocument) -> None:
         sys.stdout.write(doc.to_json())
 
 
-def _common_config(args, **extra) -> dict:
-    config = {
-        "input": args.input,
-        "clusters": args.clusters,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "normalize": bool(getattr(args, "normalize", False)),
-    }
-    config.update(extra)
-    return config
-
-
 def _cmd_fit(args) -> int:
     if args.emit_coords and not args.output:
         raise UsageError("--emit-coords requires --output")
     X = _load_input(args)
-    started = time.perf_counter()
-    sol = fit_rkm(X, SolverConfig(
-        k=args.clusters, q=args.dims, restarts=args.restarts, seed=args.seed
-    ))
-    elapsed = time.perf_counter() - started
+    config = SolverConfig(k=args.clusters, q=args.dims, restarts=args.restarts, seed=args.seed)
+    sol, timing = _timed(fit_rkm, X, config)
     log.info("fit loss %.6g after %d sweeps (restart %d)",
              sol.loss, sol.iterations, sol.restart_index)
-    doc = ResultDocument(
-        command="fit",
-        config=_common_config(args, dims=args.dims),
-        solution={
-            "loading": matrix_payload(sol.loading.values, order="column"),
-            "centroids": matrix_payload(sol.centroids.values),
-            "labels": [int(v) for v in sol.assignment.labels],
-            "loss": sol.loss,
-            "iterations": sol.iterations,
-            "restart_index": sol.restart_index,
-        },
-        metrics=_ari_against_truth(args, sol.assignment),
-        timing={"seconds": elapsed},
-    )
-    _emit(args, doc)
+    _emit(args, {
+        "loading": matrix_payload(sol.loading.values, order="column"),
+        "centroids": matrix_payload(sol.centroids.values),
+        "labels": [int(v) for v in sol.assignment.labels],
+        "loss": sol.loss,
+        "iterations": sol.iterations,
+        "restart_index": sol.restart_index,
+    }, _ari_against_truth(args, sol.assignment), timing)
     if args.emit_coords:
         scores, centers = project(X, sol)
         base = os.path.splitext(args.output)[0]
@@ -251,75 +249,42 @@ def _cmd_fit(args) -> int:
 
 def _cmd_kmeans(args) -> int:
     X = _load_input(args)
-    started = time.perf_counter()
-    km = kmeans_fit(X, args.clusters, restarts=args.restarts, seed=args.seed)
-    elapsed = time.perf_counter() - started
-    doc = ResultDocument(
-        command="kmeans",
-        config=_common_config(args),
-        solution={
-            "centers": matrix_payload(km.centers),
-            "labels": [int(v) for v in km.assignment.labels],
-            "loss": km.loss,
-        },
-        metrics=_ari_against_truth(args, km.assignment),
-        timing={"seconds": elapsed},
-    )
-    _emit(args, doc)
+    km, timing = _timed(kmeans_fit, X, args.clusters, restarts=args.restarts, seed=args.seed)
+    _emit(args, {
+        "centers": matrix_payload(km.centers),
+        "labels": [int(v) for v in km.assignment.labels],
+        "loss": km.loss,
+    }, _ari_against_truth(args, km.assignment), timing)
     return 0
 
 
 def _cmd_tandem(args) -> int:
     X = _load_input(args)
-    started = time.perf_counter()
-    loading, km = tandem_fit(
-        X, args.clusters, args.dims, restarts=args.restarts, seed=args.seed
+    (loading, km), timing = _timed(
+        tandem_fit, X, args.clusters, args.dims, restarts=args.restarts, seed=args.seed
     )
-    elapsed = time.perf_counter() - started
-    doc = ResultDocument(
-        command="tandem",
-        config=_common_config(args, dims=args.dims),
-        solution={
-            "loading": matrix_payload(loading.values, order="column"),
-            "centers": matrix_payload(km.centers),
-            "labels": [int(v) for v in km.assignment.labels],
-            "loss": km.loss,
-        },
-        metrics=_ari_against_truth(args, km.assignment),
-        timing={"seconds": elapsed},
-    )
-    _emit(args, doc)
+    _emit(args, {
+        "loading": matrix_payload(loading.values, order="column"),
+        "centers": matrix_payload(km.centers),
+        "labels": [int(v) for v in km.assignment.labels],
+        "loss": km.loss,
+    }, _ari_against_truth(args, km.assignment), timing)
     return 0
 
 
 def _cmd_select_dim(args) -> int:
     X = _load_input(args)
-    q_cap = min(args.clusters - 1, X.p)
-    q_max = args.max_dims if args.max_dims is not None else q_cap
-    started = time.perf_counter()
-    profile = select_dimension(
-        X,
-        args.clusters,
-        q_max,
+    q_max = args.max_dims if args.max_dims is not None else min(args.clusters - 1, X.p)
+    profile, timing = _timed(
+        select_dimension, X, args.clusters, q_max,
         SolverConfig(k=args.clusters, q=1, restarts=args.restarts, seed=args.seed),
     )
-    elapsed = time.perf_counter() - started
-    truth_metrics = None
-    if args.truth:
-        best = profile.solutions[profile.q_hat - 1]
-        truth_metrics = _ari_against_truth(args, best.assignment)
-    doc = ResultDocument(
-        command="select-dim",
-        config=_common_config(args, max_dims=q_max),
-        solution={
-            "vr": {str(q): v for q, v in sorted(profile.vr.items())},
-            "delta2": {str(q): v for q, v in sorted(profile.delta2.items())},
-            "q_hat": profile.q_hat,
-        },
-        metrics=truth_metrics,
-        timing={"seconds": elapsed},
-    )
-    _emit(args, doc)
+    best = profile.solutions[profile.q_hat - 1]
+    _emit(args, {
+        "vr": {str(q): v for q, v in sorted(profile.vr.items())},
+        "delta2": {str(q): v for q, v in sorted(profile.delta2.items())},
+        "q_hat": profile.q_hat,
+    }, _ari_against_truth(args, best.assignment), timing, max_dims=q_max)
     return 0
 
 
@@ -341,99 +306,49 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _demo_population() -> PopulationSpec:
-    atoms = np.array(DEMO_ATOMS)
-    return PopulationSpec(atoms, np.full(len(atoms), 1.0 / len(atoms)))
-
-
 def _cmd_bench_consistency(args) -> int:
-    if args.atoms:
-        atoms = load_csv(args.atoms).values
-        pop = PopulationSpec(atoms, np.full(atoms.shape[0], 1.0 / atoms.shape[0]))
-    else:
-        pop = _demo_population()
-    started = time.perf_counter()
-    report = consistency_experiment(
-        pop,
-        args.clusters,
-        args.dims,
-        args.n_grid,
-        args.reps,
-        config=SolverConfig(
-            k=args.clusters, q=args.dims, restarts=args.restarts, seed=args.seed
-        ),
+    if args.format == "csv" and not args.output:
+        raise UsageError("--format csv requires --output")
+    atoms = load_csv(args.atoms).values if args.atoms else np.array(DEMO_ATOMS)
+    pop = PopulationSpec(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+    report, timing = _timed(
+        consistency_experiment, pop, args.clusters, args.dims, args.n_grid, args.reps,
+        config=SolverConfig(k=args.clusters, q=args.dims, restarts=args.restarts,
+                            seed=args.seed),
     )
-    elapsed = time.perf_counter() - started
     if args.format == "csv":
-        if not args.output:
-            raise UsageError("--format csv requires --output")
         report.write_csv(args.output)
         log.info("wrote %s", args.output)
         return 0
-    doc = ResultDocument(
-        command="bench-consistency",
-        config={
-            "atoms": args.atoms or "demo",
-            "clusters": args.clusters,
-            "dims": args.dims,
-            "n_grid": list(args.n_grid),
-            "reps": args.reps,
-            "restarts": args.restarts,
-            "seed": args.seed,
-        },
-        solution={"report": report.to_json_dict(), "summary": report.summary()},
-        timing={"seconds": elapsed},
-    )
-    _emit(args, doc)
+    _emit(args, {"report": report.to_json_dict(), "summary": report.summary()},
+          timing=timing, atoms=args.atoms or "demo")
     return 0
 
 
 def _cmd_bench_agreement(args) -> int:
     geometry = PRESETS[args.preset]
-    started = time.perf_counter()
-    result = agreement_experiment(
+    results, timing = _timed(
+        agreement_experiment,
         [(geometry["q"], geometry["p1"], geometry["p2"], geometry["p3"])],
         reps=args.reps,
         config=SolverConfig(k=8, q=1, restarts=args.restarts),
         seed=args.seed,
-    )[0]
-    elapsed = time.perf_counter() - started
-    doc = ResultDocument(
-        command="bench-agreement",
-        config={
-            "preset": args.preset,
-            "reps": args.reps,
-            "restarts": args.restarts,
-            "seed": args.seed,
-        },
-        solution={
-            "setting": list(result.setting),
-            "reps": result.reps,
-            "hits": result.hits,
-            "rate": result.rate,
-            "picks": [list(pair) for pair in result.picks],
-        },
-        timing={"seconds": elapsed},
     )
-    _emit(args, doc)
+    result = results[0]
+    _emit(args, {
+        "setting": list(result.setting),
+        "reps": result.reps,
+        "hits": result.hits,
+        "rate": result.rate,
+        "picks": [list(pair) for pair in result.picks],
+    }, timing=timing)
     return 0
 
 
 def _cmd_rate_bound(args) -> int:
     result = rate_bound(args.n, args.clusters, args.p, args.radius, args.epsilon)
     if args.output:
-        doc = ResultDocument(
-            command="rate-bound",
-            config={
-                "n": args.n,
-                "clusters": args.clusters,
-                "p": args.p,
-                "radius": args.radius,
-                "epsilon": args.epsilon,
-            },
-            solution={"bound": result.bound, "raw": result.raw},
-        )
-        doc.write(args.output)
+        _emit(args, {"bound": result.bound, "raw": result.raw})
     else:
         sys.stdout.write(f"bound: {result.bound}\nraw: {result.raw}\n")
     return 0

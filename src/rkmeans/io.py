@@ -8,9 +8,10 @@ runs on it; then numpy's C reader takes the rest of the file as plain lines:
 unquoted cells numpy reads as numbers, the same cell count on every line, and
 no line to skip but empty ones. A file numpy refuses -- quotes, whitespace-only
 or comma-only rows, ragged rows, bad cells, ``1_0``, a BOM, the separators
-\\x1c-\\x1f, a header with no data -- goes to the csv.reader walk, which
-parses each cell with float(). Only the walk reports parse failures, naming
-the 1-based line of the file and the column.
+\\x1c-\\x1f, a header with no data, a cell over csv's field limit in a row
+the header test reads -- goes to the csv.reader walk, which parses each cell
+with float(). Only the walk reports parse failures, naming the 1-based line
+of the file and the column.
 
 CSV out: csv's excel dialect (``\\r\\n`` line ends, a header cell quoted
 where needed); data cells are ``repr`` of each float, written a row at a time.
@@ -70,17 +71,20 @@ def _read_c(path):
     with _open(path) as fh:
         reader = csv.reader(fh)
         skip = 0
-        for row in reader:
-            if not _is_blank(row):
-                break
-            skip = reader.line_num
-        else:
-            return None
-        if _is_header(row):
-            skip = reader.line_num
-            # numpy warns on an empty body; the walk names the error
-            if all(_is_blank(rest) for rest in reader):
+        try:
+            for row in reader:
+                if not _is_blank(row):
+                    break
+                skip = reader.line_num
+            else:
                 return None
+            if _is_header(row):
+                skip = reader.line_num
+                # numpy warns on an empty body; the walk names the error
+                if all(_is_blank(rest) for rest in reader):
+                    return None
+        except csv.Error:
+            return None  # a cell over csv's field limit; the walk names it
         fh.seek(0)
         try:
             return np.loadtxt(_plain_lines(fh), delimiter=",",
@@ -96,10 +100,13 @@ def _data_rows(path) -> list:
     with _open(path) as fh:
         reader = csv.reader(fh)
         line = 1
-        for row in reader:
-            if not _is_blank(row):
-                rows.append((line, row))
-            line = reader.line_num + 1
+        try:
+            for row in reader:
+                if not _is_blank(row):
+                    rows.append((line, row))
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise CsvParseError(str(exc), row=line)
     if not rows:
         raise CsvParseError(f"{path} contains no data")
     if _is_header(rows[0][1]):

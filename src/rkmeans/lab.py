@@ -147,6 +147,16 @@ def _grouped_1d_kmeans_loss(ts: np.ndarray, ws: np.ndarray, k: int) -> np.ndarra
     return cost[:, -1] / totals
 
 
+# the per-rep records of a ConvergenceReport: (field, label in the summary
+# and the CSV columns)
+_RECORDS = (
+    ("losses", "loss"),
+    ("distances", "distance"),
+    ("vr_values", "vr"),
+    ("population_risks", "population_risk"),
+)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Replicated experiment record: per sample size n, one value per rep of
@@ -165,7 +175,7 @@ class ConvergenceReport:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        for name in ("losses", "distances", "vr_values", "population_risks"):
+        for name, _ in _RECORDS:
             block = getattr(self, name)
             cleaned = {int(n): tuple(float(v) for v in vals) for n, vals in block.items()}
             if sorted(cleaned) != sorted(self.n_grid):
@@ -196,21 +206,13 @@ class ConvergenceReport:
         return float(q3 - q1)
 
     def summary(self) -> dict:
-        out = {}
-        for label, field in (
-            ("loss", "losses"),
-            ("distance", "distances"),
-            ("vr", "vr_values"),
-            ("population_risk", "population_risks"),
-        ):
-            out[label] = {
-                n: {
-                    "median": self.median(field, n),
-                    "iqr": self.iqr(field, n),
-                }
+        return {
+            label: {
+                n: {"median": self.median(field, n), "iqr": self.iqr(field, n)}
                 for n in self.n_grid
             }
-        return out
+            for field, label in _RECORDS
+        }
 
     def to_json_dict(self) -> dict:
         def block(field):
@@ -221,31 +223,20 @@ class ConvergenceReport:
 
         return {
             "n_grid": list(self.n_grid),
-            "losses": block("losses"),
-            "distances": block("distances"),
-            "vr_values": block("vr_values"),
-            "population_risks": block("population_risks"),
+            **{field: block(field) for field, _ in _RECORDS},
             "oracle_loss": self.oracle_loss,
             "oracle_vr": self.oracle_vr,
             "oracle_gap": self.oracle_gap,
         }
 
     def to_csv_rows(self) -> list:
-        """Flat rows, one per (n, rep), for external plotting."""
-        rows = [["n", "rep", "loss", "distance", "vr", "population_risk"]]
+        """Flat rows, one per (n, rep), for external plotting; a NaN is an
+        empty cell."""
+        rows = [["n", "rep", *(label for _, label in _RECORDS)]]
         for n in self.n_grid:
             for r in range(self.reps(n)):
-                vr = self.vr_values[n][r]
-                rows.append(
-                    [
-                        n,
-                        r,
-                        repr(self.losses[n][r]),
-                        repr(self.distances[n][r]),
-                        "" if math.isnan(vr) else repr(vr),
-                        repr(self.population_risks[n][r]),
-                    ]
-                )
+                values = (getattr(self, field)[n][r] for field, _ in _RECORDS)
+                rows.append([n, r, *("" if math.isnan(v) else repr(v) for v in values)])
         return rows
 
     def write_csv(self, path) -> None:
@@ -344,10 +335,7 @@ def consistency_experiment(
         pass
 
     n_grid = tuple(int(n) for n in n_grid)
-    losses: dict = {n: [] for n in n_grid}
-    distances: dict = {n: [] for n in n_grid}
-    vr_values: dict = {n: [] for n in n_grid}
-    population_risks: dict = {n: [] for n in n_grid}
+    records = {field: {n: [] for n in n_grid} for field, _ in _RECORDS}
     theta_star = (optimum.centroids, optimum.loading)
     for n in n_grid:
         if n < k:
@@ -355,21 +343,21 @@ def consistency_experiment(
         for r in range(reps):
             X = _sample(pop, n, spawn_rng(config.seed, n, r))
             sol = fit_rkm(X, replace(config, seed=spawn_seed(config.seed, n, r, 1)))
-            losses[n].append(sol.loss)
-            distances[n].append(
-                param_distance((sol.centroids, sol.loading), theta_star, align=True)
-            )
             try:
-                vr_values[n].append(vr_hat(X, sol))
+                vr = vr_hat(X, sol)
             except DegenerateDataError:
-                vr_values[n].append(float("nan"))
-            population_risks[n].append(population_risk(pop, sol.loading, sol.centroids))
+                vr = float("nan")
+            values = (
+                sol.loss,
+                param_distance((sol.centroids, sol.loading), theta_star, align=True),
+                vr,
+                population_risk(pop, sol.loading, sol.centroids),
+            )
+            for (field, _), value in zip(_RECORDS, values):
+                records[field][n].append(value)
     return ConvergenceReport(
         n_grid=n_grid,
-        losses=losses,
-        distances=distances,
-        vr_values=vr_values,
-        population_risks=population_risks,
+        **records,
         oracle_loss=optimum.loss,
         oracle_vr=oracle_vr,
         oracle_gap=optimum.grid_gap,

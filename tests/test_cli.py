@@ -235,6 +235,14 @@ class TestBenchCommands:
         assert main(args) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_consistency_csv_checks_output_before_running(self, monkeypatch, capsys):
+        def experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran before the usage check")
+
+        monkeypatch.setattr("rkmeans.cli.consistency_experiment", experiment)
+        assert main(["bench-consistency", "--format", "csv"]) == 1
+        assert "--format csv requires --output" in capsys.readouterr().err
+
     def test_consistency_custom_atoms(self, tmp_path, capsys):
         atoms = tmp_path / "atoms.csv"
         write_matrix_csv(atoms, [[2.0, 0.0], [-2.0, 0.0]])
@@ -263,6 +271,56 @@ class TestBenchCommands:
         assert payload["solution"]["reps"] == 1
         assert 0.0 <= payload["solution"]["rate"] <= 1.0
         assert len(payload["solution"]["picks"]) == 1
+
+
+COMMON = {"input": "{data}", "seed": 0, "normalize": False}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fit", "--input", "{data}", "--clusters", "2", "--dims", "1", "--restarts", "3",
+      "--seed", "4", "--truth", "{truth}", "--threads", "2", "--emit-coords",
+      "--output", "{out}"],
+     {**COMMON, "clusters": 2, "dims": 1, "restarts": 3, "seed": 4}),
+    (["kmeans", "--input", "{data}", "--clusters", "2", "--normalize"],
+     {**COMMON, "clusters": 2, "restarts": 30, "normalize": True}),
+    (["tandem", "--input", "{data}", "--clusters", "2", "--dims", "1", "--restarts", "2",
+      "--truth", "{truth}"],
+     {**COMMON, "clusters": 2, "dims": 1, "restarts": 2}),
+    (["select-dim", "--input", "{data}", "--clusters", "3", "--restarts", "2"],
+     {**COMMON, "clusters": 3, "restarts": 2, "max_dims": 2}),
+    (["select-dim", "--input", "{data}", "--clusters", "3", "--restarts", "2",
+      "--max-dims", "1", "--output", "{out}"],
+     {**COMMON, "clusters": 3, "restarts": 2, "max_dims": 1}),
+    (["bench-consistency", "--n-grid", "20,40", "--reps", "1", "--restarts", "2",
+      "--seed", "5"],
+     {"atoms": "demo", "clusters": 2, "dims": 1, "n_grid": [20, 40], "reps": 1,
+      "restarts": 2, "seed": 5}),
+    (["bench-consistency", "--atoms", "{atoms}", "--n-grid", "20", "--reps", "1",
+      "--restarts", "2", "--format", "json", "--threads", "2", "--output", "{out}"],
+     {"atoms": "{atoms}", "clusters": 2, "dims": 1, "n_grid": [20], "reps": 1,
+      "restarts": 2, "seed": 0}),
+    (["bench-agreement", "--preset", "table1-q2p5", "--reps", "1", "--restarts", "2",
+      "--seed", "3"],
+     {"preset": "table1-q2p5", "reps": 1, "restarts": 2, "seed": 3}),
+    (["rate-bound", "--n", "100000", "--clusters", "2", "--p", "3", "--radius", "1",
+      "--epsilon", "1", "--output", "{out}"],
+     {"n": 100000, "clusters": 2, "p": 3, "radius": 1.0, "epsilon": 1.0}),
+], ids=["fit", "kmeans", "tandem", "select-dim", "select-dim-max-dims",
+        "consistency-demo", "consistency-atoms", "agreement", "rate-bound"])
+def test_config_echo(argv, config, blob_dir, tmp_path, capsys):
+    # the exact config block, down to the JSON types: output routing,
+    # --truth and --threads stay out, every other argument is echoed
+    atoms = tmp_path / "atoms.csv"
+    write_matrix_csv(atoms, [[2.0, 0.0], [-2.0, 0.0]])
+    paths = {"data": str(blob_dir / "blobs.csv"), "truth": str(blob_dir / "blobs.labels.csv"),
+             "atoms": str(atoms), "out": str(tmp_path / "result.json")}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 0
+    out = tmp_path / "result.json"
+    echoed = json.loads(out.read_text() if "--output" in argv else capsys.readouterr().out)
+    expected = {key: value.format(**paths) if isinstance(value, str) else value
+                for key, value in config.items()}
+    assert json.dumps(echoed["config"], sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestRateBound:
@@ -310,6 +368,14 @@ class TestExitCodes:
         args = ["fit", "--input", str(bad), "--clusters", "2", "--dims", "1"]
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("1,0." + "0" * 200_000 + "1\n2,3\n")
+        args = ["fit", "--input", str(long), "--clusters", "2", "--dims", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "(row 1)" in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         args = ["fit", "--input", str(tmp_path / "nope.csv"),

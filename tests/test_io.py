@@ -77,6 +77,24 @@ class TestLoadCsv:
             load_csv(write(tmp_path / "a.csv", text))
         assert (err.value.row, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1,{}\n2,3\n", 1),
+        ("a,b\n\n3,{}\n", 3),
+        ('"1",2\n\n3,{}\n', 3),
+    ])
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, text, line):
+        # csv.reader refuses a cell longer than csv.field_size_limit(); the
+        # header scan reads the first non-blank rows with it, the walk all rows
+        cell = "0." + "0" * csv.field_size_limit() + "1"
+        with pytest.raises(CsvParseError, match=rf"field limit.*\(row {line}\)") as err:
+            load_csv(write(tmp_path / "a.csv", text.format(cell)))
+        assert err.value.row == line
+
+    def test_cell_over_the_csv_field_limit_read_by_numpy(self, tmp_path):
+        cell = "0." + "0" * csv.field_size_limit() + "1"
+        X = load_csv(write(tmp_path / "a.csv", f"1,2\n3,{cell}\n"))
+        assert np.array_equal(X.values, [[1.0, 2.0], [3.0, float(cell)]])
+
     def test_non_finite_matrix_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="invalid matrix"):
             load_csv(write(tmp_path / "a.csv", "nan,1\n2,3\n"))

@@ -14,14 +14,18 @@ import numpy as np
 import rkmeans
 from rkmeans import DataMatrix, SolverConfig, _kernels, cli
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def test_every_wrapped_name_resolves():
@@ -96,3 +100,16 @@ def test_traced_io_hooks_keep_firing(tmp_path):
     assert abs(tracer.counters["io.load_csv.mb"] - sizes) <= 1e-12
     assert tracer.calls["io.write_matrix_csv"] == 3
     assert tracer.calls["io.ResultDocument.write"] == 1
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    # every workload op is rkm command lines; a CLI change that drops or
+    # renames an option they pass (--threads among them) breaks the benchmark
+    workloads = _load("workloads").WORKLOADS
+    assert sorted(workloads) == ["agreement", "bigfit", "consistency"]
+    for name, workload in workloads.items():
+        commands = workload(seed=1, threads=1, workdir=str(tmp_path)).commands(0)
+        assert commands, name
+        for argv in commands:
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == argv[0] and callable(args.func)
