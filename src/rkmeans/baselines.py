@@ -78,6 +78,8 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
     k = int(k)
     if n < 1:
         raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values contain NaN or Inf entries")
     if np.any(np.diff(v) < 0):
         raise ValueError("values must be sorted ascending")
     if not 1 <= k <= n:
@@ -88,6 +90,8 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.shape != v.shape:
             raise ValueError("weights must match values in length")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain NaN or Inf entries")
         if np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
 
@@ -103,7 +107,7 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         sw = cw[i] - cw[s]
         centers[j - 1, 0] = (cwv[i] - cwv[s]) / sw if sw > 0 else v[s]
         i = s
-    loss = float(cost[0, n]) / float(w.sum())
+    loss = float(cost[0]) / float(w.sum())
     return KmeansSolution(centers=centers, assignment=Assignment(labels, k), loss=loss)
 
 
@@ -115,8 +119,10 @@ def weighted_prefix_sums(ts: np.ndarray, ws: np.ndarray) -> tuple:
     cwt = np.zeros((g, m + 1))
     cwt2 = np.zeros((g, m + 1))
     np.cumsum(ws, axis=1, out=cw[:, 1:])
-    np.cumsum(ws * ts, axis=1, out=cwt[:, 1:])
-    np.cumsum(ws * ts * ts, axis=1, out=cwt2[:, 1:])
+    wt = ws * ts
+    np.cumsum(wt, axis=1, out=cwt[:, 1:])
+    wt *= ts  # ws * ts * ts, in the same order of operations
+    np.cumsum(wt, axis=1, out=cwt2[:, 1:])
     return cw, cwt, cwt2
 
 
@@ -124,13 +130,15 @@ def kmeans_1d_dp(prefix: tuple, k: int, keep_splits: bool = False) -> tuple:
     """Exact 1-D k-means dynamic program over split points, batched across
     the rows of sorted values summarized by ``weighted_prefix_sums``.
 
-    Returns (cost, split). cost[r, i] is the least weighted SSE of cutting the
-    first i values of row r into k contiguous runs. With ``keep_splits``,
-    split[j, r, i] is where the last run starts in the best cut of those
-    values into j runs, ties keeping the latest split (earlier clusters absorb
-    ties); otherwise split is None. A cut's cost is accumulated run by run
-    from the left, as an enumeration of contiguous partitions sums it, so the
-    two agree bit for bit.
+    Returns (cost, split). cost is the (g,) vector of each row's least
+    weighted SSE over k contiguous runs: the end cell i = m of the last
+    layer, the only cell of that layer solved (layers 1..k-1 are filled for
+    every prefix length i). With ``keep_splits``, split[j, r, i] is where the
+    last run starts in the best cut of the first i values of row r into j
+    runs, ties keeping the latest split (earlier clusters absorb ties); for
+    j = k only i = m is set. Otherwise split is None. A cut's cost is
+    accumulated run by run from the left, as an enumeration of contiguous
+    partitions sums it, so the two agree bit for bit.
     """
     cw, cwt, cwt2 = prefix
     g, m = cw.shape[0], cw.shape[1] - 1
@@ -144,21 +152,31 @@ def kmeans_1d_dp(prefix: tuple, k: int, keep_splits: bool = False) -> tuple:
         np.divide(s1 * s1, sw, out=ratio, where=sw > 0)
         return np.maximum(cwt2[:, hi] - cwt2[:, lo] - ratio, 0.0)
 
+    def candidates(j: int, i: int) -> np.ndarray:
+        """Costs of cutting the first i values into j runs, one column per
+        start s = j-1 .. i-1 of the last run [s, i); cost holds layer j-1."""
+        return cost[:, j - 1 : i] + run_sse(slice(j - 1, i), slice(i, i + 1))
+
     # one cluster: the whole prefix [0, i)
     cost = np.full((g, m + 1), np.inf)
     cost[:, 0] = 0.0
     cost[:, 1:] = run_sse(slice(0, 1), slice(1, m + 1))
     split = np.zeros((k + 1, g, m + 1), dtype=np.int64) if keep_splits else None
-    for j in range(2, k + 1):
+    for j in range(2, k):
         new_cost = np.full((g, m + 1), np.inf)
         for i in range(j, m + 1):
-            # candidate last runs [s, i) for s = j-1 .. i-1
-            cand = cost[:, j - 1 : i] + run_sse(slice(j - 1, i), slice(i, i + 1))
+            cand = candidates(j, i)
             new_cost[:, i] = cand.min(axis=1)
             if keep_splits:
                 split[j, :, i] = i - 1 - cand[:, ::-1].argmin(axis=1)
         cost = new_cost
-    return cost, split
+    if k == 1:
+        return cost[:, m], split
+    # the last layer is read only at its end cell: every value in k runs
+    cand = candidates(k, m)
+    if keep_splits:
+        split[k, :, m] = m - 1 - cand[:, ::-1].argmin(axis=1)
+    return cand.min(axis=1), split
 
 
 def pca_fit(X: DataMatrix, q: int) -> LoadingMatrix:

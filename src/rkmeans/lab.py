@@ -47,6 +47,10 @@ class PopulationSpec:
             raise ValueError(f"atoms must be a non-empty 2-D matrix, got {atoms.shape}")
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must be a vector with one entry per atom")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms contain NaN or Inf entries")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights contain NaN or Inf entries")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -112,6 +116,7 @@ def oracle_global_min(target, k: int, angle_grid_size: int = 2000) -> OracleSolu
     order = np.argsort(t, axis=1, kind="stable")
     ts = np.take_along_axis(t, order, axis=1)
     ws = weights[order]
+    del t, order  # free the unsorted grid before the DP's temporaries
     within = _grouped_1d_kmeans_loss(ts, ws, k)
 
     sq_norms = float(weights @ np.sum(atoms * atoms, axis=1))
@@ -141,10 +146,10 @@ def _grouped_1d_kmeans_loss(ts: np.ndarray, ws: np.ndarray, k: int) -> np.ndarra
     weighted within-cluster SSE divided by the row weight total.
     """
     prefix = weighted_prefix_sums(ts, ws)
-    cost, _ = kmeans_1d_dp(prefix, k)
+    sse, _ = kmeans_1d_dp(prefix, k)
     totals = prefix[0][:, -1].copy()
     totals[totals <= 0] = 1.0
-    return cost[:, -1] / totals
+    return sse / totals
 
 
 # the per-rep records of a ConvergenceReport: (field, label in the summary
@@ -281,6 +286,9 @@ def check_distinctness(pop: PopulationSpec, k: int, angle_grid_size: int = 2000)
 def _distinct_optima(pop: PopulationSpec, k: int, angle_grid_size: int) -> tuple:
     """check_distinctness, returning the oracle solutions for 1..k clusters,
     so a caller that needs the k-cluster optimum does not solve it again."""
+    k = int(k)
+    if not 1 <= k <= pop.m:
+        raise ValueError(f"need 1 <= k <= {pop.m} points, got k={k}")
     optima = tuple(
         oracle_global_min(pop, j, angle_grid_size=angle_grid_size)
         for j in range(1, k + 1)

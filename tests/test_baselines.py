@@ -136,6 +136,20 @@ def test_1d_exact_rejects_unsorted():
         kmeans_1d_exact([1.0], 2)  # k > n
 
 
+@pytest.mark.parametrize("values, weights", [
+    ([1.0, float("nan"), 3.0], None),
+    ([1.0, 2.0, float("inf")], None),
+    ([-float("inf"), 1.0, 2.0], None),
+    ([1.0, 2.0, 3.0], [1.0, float("nan"), 1.0]),
+    ([1.0, 2.0, 3.0], [1.0, float("inf"), 1.0]),
+])
+def test_1d_exact_rejects_non_finite(values, weights):
+    # NaN passes the sortedness check and an infinity turns the prefix sums
+    # into NaN, so either would come back as a silent loss=nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        kmeans_1d_exact(values, 2, weights=weights)
+
+
 def _enumerate_contiguous(v: np.ndarray, k: int, w: np.ndarray | None = None) -> float:
     """Least weighted SSE over all partitions of sorted v into k contiguous
     blocks, per unit weight; each block is scored about its weighted mean."""

@@ -8,7 +8,9 @@ with no grid error at all.
 """
 import csv
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from rkmeans import (
     population_risk,
     rate_bound,
 )
-from rkmeans.baselines import kmeans_1d_exact
+from rkmeans.baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from rkmeans.lab import _grouped_1d_kmeans_loss, _population_vr
 
 
@@ -48,6 +50,17 @@ class TestPopulationSpec:
             PopulationSpec(np.zeros(3), np.array([1.0]))
         with pytest.raises(ValueError, match="one entry per atom"):
             PopulationSpec(np.zeros((3, 2)), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("atoms, weights, message", [
+        ([[0.0, 1.0], [1.0, 0.0]], [float("nan"), 1.0], "weights contain NaN or Inf"),
+        ([[0.0, 1.0], [1.0, 0.0]], [float("inf"), 1.0], "weights contain NaN or Inf"),
+        ([[0.0, float("nan")], [1.0, 0.0]], [0.5, 0.5], "atoms contain NaN or Inf"),
+        ([[0.0, float("inf")], [1.0, 0.0]], [0.5, 0.5], "atoms contain NaN or Inf"),
+    ])
+    def test_rejects_non_finite_entries(self, atoms, weights, message):
+        # a NaN weight slips past the sum test (abs(nan - 1) > tol is False)
+        with pytest.raises(ValueError, match=message):
+            PopulationSpec(np.array(atoms), np.array(weights))
 
     def test_properties_and_immutability(self):
         pop = four_atom_pop()
@@ -132,6 +145,62 @@ class TestOracle:
                 assert batched[g] == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
 
+    def test_dp_end_cell_equals_enumeration(self):
+        # the DP solves only the last layer's end cell; it must be the least
+        # cost over every cut into k contiguous runs, each run scored from
+        # the same prefix sums and summed from the left, bit for bit, on rows
+        # with tied values, duplicate points and zero weights, up to k = m
+        rng = np.random.default_rng(5)
+        m = 5
+        ts = np.sort(np.round(rng.uniform(-3.0, 3.0, (40, m)), 1), axis=1)
+        ts[:8] = np.sort(rng.integers(-2, 3, (8, m)).astype(float), axis=1)
+        ts[8] = 1.5
+        ws = rng.uniform(0.0, 2.0, (40, m))
+        ws[rng.random((40, m)) < 0.3] = 0.0
+        ws[9] = 0.0
+        prefix = weighted_prefix_sums(ts, ws)
+        cw, cwt, cwt2 = prefix
+
+        def run_sse(a, b):
+            sw = cw[:, b] - cw[:, a]
+            s1 = cwt[:, b] - cwt[:, a]
+            ratio = np.zeros_like(s1)
+            np.divide(s1 * s1, sw, out=ratio, where=sw > 0)
+            return np.maximum(cwt2[:, b] - cwt2[:, a] - ratio, 0.0)
+
+        for k in range(1, m + 1):
+            best = np.full(40, np.inf)
+            for cuts in itertools.combinations(range(1, m), k - 1):
+                bounds = (0,) + cuts + (m,)
+                cost = run_sse(0, bounds[1])
+                for a, b in zip(bounds[1:], bounds[2:]):
+                    cost = cost + run_sse(a, b)
+                best = np.minimum(best, cost)
+            end, split = kmeans_1d_dp(prefix, k)
+            assert split is None
+            assert end.shape == (40,)
+            assert np.array_equal(end, best)
+            # kmeans_1d_exact's call, which keeps the splits, reads the same
+            assert np.array_equal(kmeans_1d_dp(prefix, k, keep_splits=True)[0], end)
+
+    def test_k2_oracle_peak_memory_matches_k1(self):
+        # the oracle reads one cell of the last DP layer; a k=2 solve that
+        # fills that whole layer raises the peak about 15% over k=1
+        rng = np.random.default_rng([7, 0])
+        atoms = np.vstack([rng.normal((2.0, 0.5), 0.4, (100, 2)),
+                           rng.normal((-2.0, -0.5), 0.4, (100, 2))])
+        pop = PopulationSpec(atoms, np.full(200, 1.0 / 200))
+        peaks = {}
+        for k in (1, 2):
+            tracemalloc.start()
+            try:
+                oracle_global_min(pop, k)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.02 * peaks[1], peaks
+
+
 class TestPopulationRisk:
     def test_hand_value(self):
         pop = four_atom_pop()
@@ -178,6 +247,11 @@ class TestCheckDistinctness:
         )
         with pytest.raises(DegenerateDataError, match="strictly decreasing"):
             check_distinctness(pop, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_cluster_count_validated(self, k):
+        with pytest.raises(ValueError, match="1 <= k <= 4 points"):
+            check_distinctness(four_atom_pop(), k=k)
 
 
 class TestConvergenceReport:

@@ -102,6 +102,27 @@ def test_traced_io_hooks_keep_firing(tmp_path):
     assert tracer.calls["io.ResultDocument.write"] == 1
 
 
+def test_traced_consistency_op_solves_each_oracle_once(tmp_path):
+    # a k=2 bench-consistency op solves the oracle for 1 and 2 clusters, each
+    # with one exact 1-D solve at the best angle; the batched DP over the
+    # whole angle grid runs inside oracle_global_min and is charged to its
+    # self time
+    tracer = _load_tracer().Tracer()
+    tracer.install(rkmeans)
+    try:
+        tracer.op = 0
+        rc = cli.main(["bench-consistency", "--clusters", "2", "--n-grid", "20", "--reps", "1",
+                       "--restarts", "2", "--output", str(tmp_path / "report.json")])
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.calls["lab.consistency_experiment"] == 1
+    assert tracer.calls["lab.oracle_global_min"] == 2
+    assert tracer.calls["baselines.kmeans_1d_exact"] == 2
+    assert tracer.self_s["lab.oracle_global_min"] > 0
+
+
 def test_benchmark_command_lines_parse(tmp_path):
     # every workload op is rkm command lines; a CLI change that drops or
     # renames an option they pass (--threads among them) breaks the benchmark
