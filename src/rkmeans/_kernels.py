@@ -77,7 +77,7 @@ def assign_to_nearest(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sq_distances(y, centers).argmin(axis=1)
 
 
-def cluster_means(y: np.ndarray, labels: np.ndarray, k: int, counts: np.ndarray) -> np.ndarray:
+def cluster_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cluster mean rows. Caller guarantees counts > 0 everywhere."""
     return _stacked_means(y[None], labels[None], counts[None])[0]
 

@@ -274,9 +274,8 @@ def _cmd_tandem(args) -> int:
 
 def _cmd_select_dim(args) -> int:
     X = _load_input(args)
-    q_max = args.max_dims if args.max_dims is not None else min(args.clusters - 1, X.p)
     profile, timing = _timed(
-        select_dimension, X, args.clusters, q_max,
+        select_dimension, X, args.clusters, args.max_dims,
         SolverConfig(k=args.clusters, q=1, restarts=args.restarts, seed=args.seed),
     )
     best = profile.solutions[profile.q_hat - 1]
@@ -284,7 +283,7 @@ def _cmd_select_dim(args) -> int:
         "vr": {str(q): v for q, v in sorted(profile.vr.items())},
         "delta2": {str(q): v for q, v in sorted(profile.delta2.items())},
         "q_hat": profile.q_hat,
-    }, _ari_against_truth(args, best.assignment), timing, max_dims=q_max)
+    }, _ari_against_truth(args, best.assignment), timing, max_dims=profile.q_max)
     return 0
 
 

@@ -4,7 +4,8 @@ Small, certified experiments that check the estimator's large-sample behavior
 at desk scale:
 
 * a brute-force global-optimum oracle for two-dimensional data projected to a
-  line (angle grid x exact 1-D k-means), with a certified optimality gap,
+  line (``ANGLE_GRID`` directions x exact 1-D k-means), with a certified
+  optimality gap,
 * replicated sampling experiments that track the fitted loss, the aligned
   parameter distance to the population optimum, and the variance-ratio
   statistic across a grid of sample sizes,
@@ -30,6 +31,9 @@ from .metrics import adjusted_rand_index, param_distance
 from .selection import select_dimension, vr_hat
 from .solver import SolverConfig, fit_rkm
 from .types import CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
+
+# directions the oracle searches, evenly spaced over [0, pi)
+ANGLE_GRID = 2000
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,14 @@ def _as_atoms(target) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"expected DataMatrix or PopulationSpec, got {type(target).__name__}")
 
 
-def oracle_global_min(target, k: int, angle_grid_size: int = 2000) -> OracleSolution:
+def oracle_global_min(target, k: int) -> OracleSolution:
     """Global minimum of the k-cluster line-projection loss for 2-D data, by
-    exhaustive search over angle_grid_size directions in [0, pi) with the 1-D
+    exhaustive search over ANGLE_GRID directions in [0, pi) with the 1-D
     subproblem solved exactly at every angle.
 
     The loss is 2R^2-Lipschitz in the angle (R = largest point norm), so the
-    best grid value is within grid_gap = 2 R^2 pi / angle_grid_size of the
-    true optimum over all directions.
+    best grid value is within grid_gap = 2 R^2 pi / ANGLE_GRID of the true
+    optimum over all directions.
     """
     atoms, weights = _as_atoms(target)
     if atoms.shape[1] != 2:
@@ -106,10 +110,8 @@ def oracle_global_min(target, k: int, angle_grid_size: int = 2000) -> OracleSolu
     m = atoms.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m} points, got k={k}")
-    if angle_grid_size < 1:
-        raise ValueError("angle_grid_size must be >= 1")
 
-    angles = np.linspace(0.0, np.pi, angle_grid_size, endpoint=False)
+    angles = np.linspace(0.0, np.pi, ANGLE_GRID, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # all projections at once: row g holds the m projected values at angle g
     t = dirs @ atoms.T
@@ -128,7 +130,7 @@ def oracle_global_min(target, k: int, angle_grid_size: int = 2000) -> OracleSolu
     direction = np.array([[math.cos(theta)], [math.sin(theta)]])
     km = kmeans_1d_exact(ts[g_best], k, weights=ws[g_best])
     radius = float(np.sqrt(np.sum(atoms * atoms, axis=1).max()))
-    gap = 2.0 * radius * radius * np.pi / angle_grid_size
+    gap = 2.0 * radius * radius * np.pi / ANGLE_GRID
     return OracleSolution(
         loss=float(losses[g_best]),
         loading=LoadingMatrix(direction),
@@ -274,25 +276,22 @@ def _population_vr(pop: PopulationSpec, opt: OracleSolution) -> float:
     return within / total
 
 
-def check_distinctness(pop: PopulationSpec, k: int, angle_grid_size: int = 2000) -> tuple:
+def check_distinctness(pop: PopulationSpec, k: int) -> tuple:
     """Oracle losses for 1..k clusters; raises unless strictly decreasing.
 
     A population whose optimal loss does not strictly improve with every
     added cluster violates the premise of the consistency statements.
     """
-    return tuple(opt.loss for opt in _distinct_optima(pop, k, angle_grid_size))
+    return tuple(opt.loss for opt in _distinct_optima(pop, k))
 
 
-def _distinct_optima(pop: PopulationSpec, k: int, angle_grid_size: int) -> tuple:
+def _distinct_optima(pop: PopulationSpec, k: int) -> tuple:
     """check_distinctness, returning the oracle solutions for 1..k clusters,
     so a caller that needs the k-cluster optimum does not solve it again."""
     k = int(k)
     if not 1 <= k <= pop.m:
         raise ValueError(f"need 1 <= k <= {pop.m} points, got k={k}")
-    optima = tuple(
-        oracle_global_min(pop, j, angle_grid_size=angle_grid_size)
-        for j in range(1, k + 1)
-    )
+    optima = tuple(oracle_global_min(pop, j) for j in range(1, k + 1))
     losses = [opt.loss for opt in optima]
     for j in range(1, len(losses)):
         if not losses[j] < losses[j - 1]:
@@ -303,11 +302,6 @@ def _distinct_optima(pop: PopulationSpec, k: int, angle_grid_size: int) -> tuple
     return optima
 
 
-def _sample(pop: PopulationSpec, n: int, rng: np.random.Generator) -> DataMatrix:
-    idx = rng.choice(pop.m, size=n, p=pop.weights)
-    return DataMatrix(pop.atoms[idx])
-
-
 def consistency_experiment(
     pop: PopulationSpec,
     k: int,
@@ -316,7 +310,6 @@ def consistency_experiment(
     reps: int,
     config: SolverConfig | None = None,
     optimum: OracleSolution | None = None,
-    angle_grid_size: int = 2000,
 ) -> ConvergenceReport:
     """Sample i.i.d. datasets of each size in n_grid, fit the model, and
     record per rep the fitted loss, the aligned parameter distance to the
@@ -330,26 +323,30 @@ def consistency_experiment(
         config = SolverConfig(k=k, q=q, restarts=20)
     if config.k != k or config.q != q:
         raise ValueError("config disagrees with the requested k, q")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    n_grid = tuple(int(n) for n in n_grid)
+    for n in n_grid:
+        if n < k:
+            raise ValueError(f"n={n} is smaller than k={k}")
     if optimum is None:
         if pop.p != 2 or q != 1:
             raise ValueError(
                 "no analytic optimum supplied and the oracle needs p=2, q=1"
             )
-        optimum = _distinct_optima(pop, k, angle_grid_size)[-1]
+        optimum = _distinct_optima(pop, k)[-1]
     oracle_vr = None
     try:
         oracle_vr = _population_vr(pop, optimum)
     except DegenerateDataError:
         pass
 
-    n_grid = tuple(int(n) for n in n_grid)
     records = {field: {n: [] for n in n_grid} for field, _ in _RECORDS}
     theta_star = (optimum.centroids, optimum.loading)
     for n in n_grid:
-        if n < k:
-            raise ValueError(f"n={n} is smaller than k={k}")
         for r in range(reps):
-            X = _sample(pop, n, spawn_rng(config.seed, n, r))
+            idx = spawn_rng(config.seed, n, r).choice(pop.m, size=n, p=pop.weights)
+            X = DataMatrix(pop.atoms[idx])
             sol = fit_rkm(X, replace(config, seed=spawn_seed(config.seed, n, r, 1)))
             try:
                 vr = vr_hat(X, sol)
@@ -401,6 +398,8 @@ def agreement_experiment(
     selected dimension matches the ARI-best one. The solver settings come
     from ``config`` (default: 50 restarts), with k = K, q = 1 and a seed
     derived per rep."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if config is None:
         base = SolverConfig(k=K, q=1, restarts=50)
     else:
@@ -416,11 +415,10 @@ def agreement_experiment(
                     seed=spawn_seed(seed, si, r, 0),
                 )
             )
-            q_max = min(K - 1, ds.X.p)
             cfg = replace(base, seed=spawn_seed(seed, si, r, 1))
-            profile = select_dimension(ds.Z, K, q_max, cfg)
+            profile = select_dimension(ds.Z, K, config=cfg)
             best_q, best_ari = None, -np.inf
-            for q, sol in zip(range(1, q_max + 1), profile.solutions):
+            for q, sol in enumerate(profile.solutions, start=1):
                 ari = adjusted_rand_index(sol.assignment, ds.labels)
                 if ari > best_ari:
                     best_q, best_ari = q, ari

@@ -8,41 +8,11 @@ indeterminacy of the model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .types import Assignment, CentroidSet, LoadingMatrix, _frozen_array
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-tabulation of two label vectors; entry (i, j) counts objects
-    with label i in the first partition and j in the second."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"counts must be 2-D, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    @classmethod
-    def from_assignments(cls, a: Assignment, b: Assignment) -> "ContingencyTable":
-        if a.n != b.n:
-            raise ValueError(f"label vectors differ in length: {a.n} vs {b.n}")
-        counts = np.zeros((a.n_clusters, b.n_clusters), dtype=np.int64)
-        np.add.at(counts, (a.labels, b.labels), 1)
-        return cls(counts)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
 
 def adjusted_rand_index(a: Assignment, b: Assignment) -> float:
@@ -52,7 +22,8 @@ def adjusted_rand_index(a: Assignment, b: Assignment) -> float:
         raise ValueError(f"label vectors differ in length: {a.n} vs {b.n}")
     if a.n < 2:
         raise ValueError("need at least 2 objects")
-    table = ContingencyTable.from_assignments(a, b).counts
+    ka, kb = a.n_clusters, b.n_clusters
+    table = np.bincount(a.labels * kb + b.labels, minlength=ka * kb).reshape(ka, kb)
     # exact integer arithmetic until the final division
     sum_cells = sum(comb(int(c), 2) for c in table.ravel())
     sum_rows = sum(comb(int(c), 2) for c in table.sum(axis=1))

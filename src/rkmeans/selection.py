@@ -62,15 +62,15 @@ def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
     return within / total
 
 
-def delta2_profile(vr: dict, q_max: int | None = None) -> dict:
+def delta2_profile(vr: dict) -> dict:
     """Second-order central difference VR(q+1) - 2 VR(q) + VR(q-1) of the VR
     sequence at each q, with boundaries VR(0) = 0 and VR(q_max + 1) =
-    VR(q_max).
+    VR(q_max). q_max is the largest key of vr, which must hold every q in
+    1..q_max.
     """
-    if q_max is None:
-        q_max = max(vr) if vr else 0
+    q_max = max(vr, default=0)
     if q_max < 1:
-        raise ValueError("q_max must be >= 1")
+        raise ValueError("vr needs values for q = 1..q_max with q_max >= 1")
     missing = [q for q in range(1, q_max + 1) if q not in vr]
     if missing:
         raise ValueError(f"vr is missing values for q={missing}")
@@ -120,7 +120,7 @@ def select_dimension(
         sol = fit_rkm(X, cfg)
         vr[q] = vr_hat(X, sol)
         solutions.append(sol)
-    delta2 = delta2_profile(vr, q_max)
+    delta2 = delta2_profile(vr)
     return VrProfile(
         k=k,
         vr=vr,

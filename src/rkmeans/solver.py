@@ -27,6 +27,8 @@ from .types import (
     DataMatrix,
     LoadingMatrix,
     RkmSolution,
+    _check_assignment,
+    _check_shapes,
 )
 
 
@@ -65,10 +67,7 @@ def update_loading(X: DataMatrix, U: Assignment, F: CentroidSet) -> LoadingMatri
     """Loss-minimizing loading for fixed assignment and centroids: the polar
     factor PQ' of the SVD QSP' of M = (UF)'X. Rank-deficient or zero M is
     completed to an orthonormal frame by the SVD's deterministic basis."""
-    if U.n != X.n:
-        raise ValueError(f"assignment has n={U.n} but data has n={X.n}")
-    if U.n_clusters > F.k:
-        raise ValueError("assignment references more clusters than centroids exist")
+    _check_assignment(X, F, U)
     if F.q > X.p:
         raise ValueError(f"q={F.q} exceeds data dimension p={X.p}")
     return LoadingMatrix(_kernels.polar_loading(X.values, U.labels, F.values))
@@ -77,10 +76,7 @@ def update_loading(X: DataMatrix, U: Assignment, F: CentroidSet) -> LoadingMatri
 def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignment:
     """Nearest projected centroid per object; ties to the smallest index.
     Equivalent to minimizing the full-space distance |x - A f_j|."""
-    if A.p != X.p:
-        raise ValueError(f"loading has p={A.p} but data has p={X.p}")
-    if A.q != F.q:
-        raise ValueError("loading and centroids disagree on subspace dimension")
+    _check_shapes(X, A, F)
     y = X.values @ A.values
     return Assignment(_kernels.assign_to_nearest(y, F.values), F.k)
 
@@ -97,7 +93,7 @@ def update_centroids(X: DataMatrix, U: Assignment, A: LoadingMatrix) -> Centroid
             "empty cluster reached the centroid update; repair must run first"
         )
     y = X.values @ A.values
-    return CentroidSet(_kernels.cluster_means(y, U.labels, U.n_clusters, counts))
+    return CentroidSet(_kernels.cluster_means(y, U.labels, counts))
 
 
 def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
@@ -181,5 +177,5 @@ def project(X: DataMatrix, sol: RkmSolution) -> tuple[np.ndarray, np.ndarray]:
     counts = sol.assignment.cluster_sizes()
     if np.any(counts == 0):
         raise ValueError("assignment has an empty cluster; cluster means undefined")
-    g = _kernels.cluster_means(y, sol.assignment.labels, sol.assignment.n_clusters, counts)
+    g = _kernels.cluster_means(y, sol.assignment.labels, counts)
     return y, g

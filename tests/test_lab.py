@@ -122,8 +122,6 @@ class TestOracle:
             oracle_global_min(pop, k=0)
         with pytest.raises(ValueError, match="1 <= k"):
             oracle_global_min(pop, k=5)
-        with pytest.raises(ValueError, match="angle_grid_size"):
-            oracle_global_min(pop, k=2, angle_grid_size=0)
         with pytest.raises(TypeError, match="DataMatrix or PopulationSpec"):
             oracle_global_min(np.zeros((3, 2)), k=1)
 
@@ -401,6 +399,22 @@ class TestConsistencyExperiment:
         with pytest.raises(ValueError, match="smaller than k"):
             consistency_experiment(pop, k=2, q=1, n_grid=(1,), reps=1)
 
+    @pytest.mark.parametrize("n_grid, reps, message", [
+        ((800, 1), 50, "n=1 is smaller than k=2"),
+        ((10,), 0, "reps must be >= 1"),
+        ((10,), -1, "reps must be >= 1"),
+    ])
+    def test_arguments_checked_before_any_solve(self, monkeypatch, n_grid, reps, message):
+        from rkmeans import lab
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(lab, "oracle_global_min", unreachable)
+        monkeypatch.setattr(lab, "fit_rkm", unreachable)
+        with pytest.raises(ValueError, match=message):
+            consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=n_grid, reps=reps)
+
 
 class TestAgreementExperiment:
     def test_smoke_on_one_setting(self):
@@ -436,6 +450,11 @@ class TestAgreementExperiment:
         second = agreement_experiment(**kwargs)
         assert first[0].picks == second[0].picks
         assert first[0].hits == second[0].hits
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_must_be_positive(self, reps):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            agreement_experiment(settings=[(2, 5, 5, 5)], reps=reps)
 
 
 class TestRateBound:

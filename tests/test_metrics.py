@@ -11,17 +11,7 @@ from rkmeans import (
     param_distance,
     symmetric_hausdorff,
 )
-from rkmeans.metrics import ContingencyTable, align_rotation
-
-
-def test_contingency_table_hand_case():
-    a = Assignment([0, 0, 1, 1, 1], 2)
-    b = Assignment([0, 1, 1, 1, 2], 3)
-    t = ContingencyTable.from_assignments(a, b)
-    assert t.counts.tolist() == [[1, 1, 0], [0, 2, 1]]
-    assert t.n == 5
-    with pytest.raises(ValueError):
-        ContingencyTable([[1, -1]])
+from rkmeans.metrics import align_rotation
 
 
 def test_ari_identical_and_permuted():

@@ -93,9 +93,9 @@ def test_delta2_hand_cases():
 
 def test_delta2_validation():
     with pytest.raises(ValueError):
-        delta2_profile({}, q_max=0)
+        delta2_profile({})
     with pytest.raises(ValueError):
-        delta2_profile({1: 0.1, 3: 0.2}, q_max=3)
+        delta2_profile({1: 0.1, 3: 0.2})
 
 
 def test_argmax_ties_prefer_smallest_q():
