@@ -7,6 +7,11 @@ one sweep engine serves both. It runs a batch of restarts in lockstep on
 stacked arrays, because the replication experiments run tens of thousands
 of short restarts on one core and per-call overhead, not arithmetic, sets
 their time.
+
+Layout rule: array passes run along the n objects, and the short k and q axes
+are looped in Python rather than reduced by numpy at its per-row overhead. The
+bits stay those of the replaced reductions: ``_row_sums`` adds in np.sum's
+order, minima are exact in any order, and ``_nearest`` keeps argmin's choice.
 """
 from __future__ import annotations
 
@@ -25,26 +30,51 @@ def batch_width(n: int, k: int, restarts: int) -> int:
 
 
 def sq_distances(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, rows of y (n x d) against centers (k x d).
-    The sweep engine calls the stacked form directly; this 2-D entry point
-    is the one the benchmark's traced run wraps and counts."""
-    return _sq_distances(y, centers)
+    """Squared Euclidean distances, rows of y (n x d) against centers (k x d),
+    as an n x k view of _distance_block; the benchmark's trace counts it."""
+    return _distance_block(y, centers).T
 
 
-def _sq_distances(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """sq_distances over stacks: y (..., n, d) against centers (..., k, d)."""
-    cross = y @ np.swapaxes(centers, -1, -2)
-    y_sq = np.sum(y * y, axis=-1)
-    c_sq = np.sum(centers * centers, axis=-1)
-    # filled one center at a time: a broadcast add over the short k axis
-    # pays numpy's per-row overhead n times
-    d = np.empty(cross.shape)
-    for j in range(d.shape[-1]):
-        np.add(y_sq, c_sq[..., j, None], out=d[..., j])
-    cross *= 2.0
-    d -= cross
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """np.sum(v, axis=-1) bit for bit. Below 8 terms numpy folds left from
+    its identity 0.0 (which turns -0.0 into 0.0); so do these whole-column
+    passes. Longer rows amortize numpy's per-row overhead and stay with it."""
+    if v.shape[-1] >= 8:
+        return np.sum(v, axis=-1)
+    total = v[..., 0] + 0.0
+    for c in range(1, v.shape[-1]):
+        total += v[..., c]
+    return total
+
+
+def _distance_block(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (|y|^2 + |c|^2) - 2 y'c clamped at 0, center-major:
+    y (..., n, d) against centers (..., k, d) gives (k, ..., n)."""
+    d = np.empty((centers.shape[-2], *y.shape[:-1]))
+    np.matmul(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
+    d *= -2.0
+    y_sq, c_sq = _row_sums(y * y), _row_sums(centers * centers)
+    for j in range(len(d)):
+        d[j] += y_sq + c_sq[..., j, None]
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def _nearest(y: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (..., n) and their squared distances, with
+    argmin's choice: the first center at the minimum, or a row's first NaN."""
+    d = _distance_block(y, centers)
+    low, labels = d[0], np.zeros(d.shape[1:], dtype=np.intp)
+    for j in range(1, len(d)):
+        # j tops every label so far, so a maximum writes it branch-free; the
+        # strict test keeps the first center, and np.minimum carries NaN
+        np.maximum(labels, (d[j] < low) * j, out=labels)
+        low = np.minimum(low, d[j], out=None if j == 1 else low)
+    if np.isnan(low).any():
+        for j in range(len(d) - 1, -1, -1):
+            np.copyto(labels, j, where=np.isnan(d[j]))
+        low = np.take_along_axis(d, labels[None], axis=0)[0]
+    return labels, low
 
 
 def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -56,7 +86,7 @@ def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     if k == 1:
         return centers
     diff = y - centers[0]
-    d2 = np.sum(diff * diff, axis=1)
+    d2 = _row_sums(diff * diff)
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -68,13 +98,13 @@ def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         centers[j] = y[idx]
         if j < k - 1:
             diff = y - centers[j]
-            np.minimum(d2, np.sum(diff * diff, axis=1), out=d2)
+            np.minimum(d2, _row_sums(diff * diff), out=d2)
     return centers
 
 
 def assign_to_nearest(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center labels; ties go to the smallest center index."""
-    return sq_distances(y, centers).argmin(axis=1)
+    return _nearest(y, centers)[0]
 
 
 def cluster_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -83,15 +113,15 @@ def cluster_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.n
 
 
 def _offset(labels: np.ndarray, k: int) -> np.ndarray:
-    """Labels of a stack (w, n) shifted by k per slice, so one bincount or one
-    gather over the flattened stack keeps the slices apart."""
-    return labels + k * np.arange(labels.shape[0])[:, None]
+    """Labels of a stack (w, n) shifted by k per slice and flattened, so one
+    bincount over the stack keeps the slices apart."""
+    return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
 def _stacked_counts(labels: np.ndarray, k: int) -> np.ndarray:
     """Cluster sizes (w, k) of a stack of labels (w, n)."""
     w = labels.shape[0]
-    return np.bincount(_offset(labels, k).ravel(), minlength=w * k).reshape(w, k)
+    return np.bincount(_offset(labels, k), minlength=w * k).reshape(w, k)
 
 
 def _stacked_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -100,7 +130,7 @@ def _stacked_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.
     members in row order, so every slice gets the bits a lone call would."""
     w, k = counts.shape
     d = y.shape[-1]
-    flat = _offset(labels, k).ravel()
+    flat = _offset(labels, k)
     sums = np.empty((w * k, d))
     for c in range(d):
         sums[:, c] = np.bincount(flat, weights=y[..., c].ravel(), minlength=w * k)
@@ -126,7 +156,7 @@ def repair_empty_clusters(
             return
         j = int(empty[0])
         diff = y - centers[labels]
-        d_own = np.sum(diff * diff, axis=1)
+        d_own = _row_sums(diff * diff)
         d_own[counts[labels] < 2] = -1.0
         i = int(d_own.argmax())
         counts[labels[i]] -= 1
@@ -142,12 +172,14 @@ def polar_loading(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarra
 
 
 def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """polar_loading over a stack: labels (w, n), centroids f (w, k, q);
-    returns the (w, p, q) loadings. Stacked matmul and SVD call BLAS and
-    LAPACK once per slice."""
+    """polar_loading over a stack: labels (w, n), centroids f (w, k, q) give
+    the (w, p, q) loadings. (UF)' is gathered as q rows of n; M = (X'(UF))'
+    sums as the row-major (UF)'X did, where (UF)' @ X would not."""
     w, k, q = f.shape
-    g = f.reshape(w * k, q)[_offset(labels, k)]
-    u, _, vh = np.linalg.svd(np.swapaxes(g, -1, -2) @ x, full_matrices=False)
+    flat = labels[:, None, :] + k * np.arange(w * q).reshape(w, q, 1)
+    gt = np.take(np.swapaxes(f, -1, -2).ravel(), flat)
+    m = np.swapaxes(x.T @ np.swapaxes(gt, -1, -2), -1, -2)
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
     return np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
 
 
@@ -166,7 +198,7 @@ def _means_step(y: np.ndarray, f: np.ndarray) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
     against centers f (w, k, d), which a repair mutates. Returns (cluster
     means, labels, counts)."""
-    labels = _sq_distances(y, f).argmin(axis=-1)
+    labels = _nearest(y, f)[0]
     counts = _stacked_counts(labels, f.shape[1])
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
         repair_empty_clusters(y[r], f[r], labels[r], counts[r])
@@ -222,7 +254,7 @@ def sweep_restarts(
             # takes over one restart's n x q scores
             sy = np.sum((y * y).reshape(len(live), -1), axis=-1)
         f, labels, counts = _means_step(y, f)
-        ff = np.sum(f * f, axis=-1)
+        ff = _row_sums(f * f)
         # one product per restart: a stacked one may sum in another order
         within = np.array([counts[j] @ ff[j] for j in range(len(live))])
         # orthogonal residual plus projected within-SS (ANOVA shortcut);
@@ -248,10 +280,9 @@ def sweep_restarts(
         live, y, f, labels = live[keep], y[keep], f[keep], labels[keep]
         sy, prev = sy[keep], prev[keep]
 
-    d = _sq_distances(y_end, f_end)
-    nearest = d.argmin(axis=-1)
+    nearest, low = _nearest(y_end, f_end)
     counts = _stacked_counts(nearest, f_end.shape[1])
-    d_sums = np.take_along_axis(d, nearest[..., None], axis=-1)[..., 0].sum(axis=-1)
+    d_sums = low.sum(axis=-1)
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
@@ -272,14 +303,13 @@ def _finalize_repairs(
     empty: repair, retake the argmin, up to k more times, because a repair
     can empty another cluster under the next argmin. Returns the labels and
     the sum of their squared distances."""
-    n, k = y.shape[0], f.shape[0]
+    k = f.shape[0]
     for _ in range(k):
         repair_empty_clusters(y, f, labels, counts)
-        d = _sq_distances(y, f)
-        labels = d.argmin(axis=1)
+        labels, low = _nearest(y, f)
         counts = np.bincount(labels, minlength=k)
         if np.all(counts > 0):
-            return labels, float(d[np.arange(n), labels].sum())
+            return labels, float(low.sum())
     # absurdly degenerate data (all projections equal); repair leaves every
     # cluster non-empty and all distances are zero-like, use assigned form
     repair_empty_clusters(y, f, labels, counts)

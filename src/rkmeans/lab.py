@@ -326,6 +326,8 @@ def consistency_experiment(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     n_grid = tuple(int(n) for n in n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one sample size")
     for n in n_grid:
         if n < k:
             raise ValueError(f"n={n} is smaller than k={k}")

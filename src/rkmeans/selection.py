@@ -68,6 +68,9 @@ def delta2_profile(vr: dict) -> dict:
     VR(q_max). q_max is the largest key of vr, which must hold every q in
     1..q_max.
     """
+    for q in vr:
+        if not isinstance(q, (int, np.integer)):
+            raise ValueError(f"vr keys must be integer dimensions q, got {q!r}")
     q_max = max(vr, default=0)
     if q_max < 1:
         raise ValueError("vr needs values for q = 1..q_max with q_max >= 1")

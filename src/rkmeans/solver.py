@@ -143,25 +143,20 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
 
 def _starts(x: np.ndarray, config: SolverConfig, pca_a: np.ndarray, restarts: range) -> tuple:
     """Stacked starts (loadings, scores XA, k-means++ centroids) of the given
-    restarts, as sweep_restarts takes them. Restart 0 starts from the
-    principal axes pca_a, later ones from the polar factor of a Gaussian."""
-    n, p = x.shape
-    k, q = config.k, config.q
-    a0 = np.empty((len(restarts), p, q))
-    y0 = np.empty((len(restarts), n, q))
-    f0 = np.empty((len(restarts), k, q))
-    for j, r in enumerate(restarts):
-        if r == 0:
-            a0[j] = pca_a
-        else:
-            g = spawn_rng(config.seed, r, 1).standard_normal((p, q))
-            u, _, vh = np.linalg.svd(g, full_matrices=False)
-            a0[j] = u @ vh
-        y0[j] = x @ a0[j]
-        # the centroid-seeding stream matches the plain k-means baseline so
-        # the two solvers are restart-for-restart comparable when q == p;
-        # the loading draw gets its own stream to keep that alignment
-        f0[j] = _kernels.kmeans_pp_init(y0[j], k, spawn_rng(config.seed, r))
+    restarts, as sweep_restarts takes them: restart 0 from the principal axes
+    pca_a, later ones from the polar factor of their own stream's Gaussian."""
+    p, k, q = x.shape[1], config.k, config.q
+    g = [spawn_rng(config.seed, r, 1).standard_normal((p, q)) if r else pca_a for r in restarts]
+    u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
+    a0 = u @ vh
+    if restarts[0] == 0:
+        a0[0] = pca_a  # its slot in the stacked SVD only held a place
+    y0 = x @ a0
+    # the centroid-seeding stream matches the plain k-means baseline so the
+    # two solvers are restart-for-restart comparable when q == p; the
+    # loading draw gets its own stream to keep that alignment
+    f0 = np.stack([_kernels.kmeans_pp_init(y0[j], k, spawn_rng(config.seed, r))
+                   for j, r in enumerate(restarts)])
     return a0, y0, f0
 
 

@@ -403,6 +403,7 @@ class TestConsistencyExperiment:
         ((800, 1), 50, "n=1 is smaller than k=2"),
         ((10,), 0, "reps must be >= 1"),
         ((10,), -1, "reps must be >= 1"),
+        ((), 3, "n_grid must hold at least one sample size"),
     ])
     def test_arguments_checked_before_any_solve(self, monkeypatch, n_grid, reps, message):
         from rkmeans import lab

@@ -98,6 +98,15 @@ def test_delta2_validation():
         delta2_profile({1: 0.1, 3: 0.2})
 
 
+def test_delta2_rejects_non_integer_keys():
+    with pytest.raises(ValueError, match="got 2.5"):
+        delta2_profile({1: 0.1, 2.5: 0.2})
+    with pytest.raises(ValueError, match="got '2'"):
+        delta2_profile({1: 0.1, "2": 0.2})
+    # numpy integers are integer dimensions
+    assert delta2_profile({np.int64(1): 0.5, np.int64(2): 0.7}) == delta2_profile({1: 0.5, 2: 0.7})
+
+
 def test_argmax_ties_prefer_smallest_q():
     assert argmax_delta2({1: 0.5, 2: 0.5, 3: 0.1}) == 1
     assert argmax_delta2({1: -0.2, 2: 0.7, 3: 0.7}) == 2
