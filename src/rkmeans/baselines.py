@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from ._seeds import spawn_rng
 from .errors import DegenerateDataError
-from .solver import SolverConfig
+from .solver import REL_TOLERANCE, SolverConfig
 from .types import Assignment, DataMatrix, LoadingMatrix, _frozen_array
 
 
@@ -39,9 +39,9 @@ def kmeans_fit(
     restarts: int = 30,
     seed: int = 0,
     max_iterations: int = 300,
-    rel_tolerance: float = 1e-9,
 ) -> KmeansSolution:
-    """Best of ``restarts`` Lloyd runs from k-means++ starts.
+    """Best of ``restarts`` Lloyd runs from k-means++ starts, each stopped by
+    the solver's REL_TOLERANCE rule or the iteration cap.
 
     Each restart draws its RNG stream from (seed, restart index), so the
     winner is independent of execution order; loss ties keep the smallest
@@ -49,13 +49,13 @@ def kmeans_fit(
     """
     k = int(k)
     SolverConfig(k=k, q=X.p, restarts=restarts, max_iterations=max_iterations,
-                 rel_tolerance=rel_tolerance, seed=seed).validate_against(X)
+                 seed=seed).validate_against(X)
     y = np.asarray(X.values)
     best = None
     for r in range(restarts):
         rng = spawn_rng(seed, r)
         centers, labels, loss, _ = _kernels.lloyd_single(
-            y, k, rng, max_iterations, rel_tolerance
+            y, k, rng, max_iterations, REL_TOLERANCE
         )
         if best is None or loss < best[0]:
             best = (loss, centers, labels)
@@ -206,18 +206,8 @@ def tandem_fit(
     q: int,
     restarts: int = 30,
     seed: int = 0,
-    max_iterations: int = 300,
-    rel_tolerance: float = 1e-9,
 ) -> tuple[LoadingMatrix, KmeansSolution]:
     """Two-step pipeline: PCA loadings, then k-means on the centered scores."""
     A = pca_fit(X, q)
     scores = (X.values - X.values.mean(axis=0)) @ A.values
-    km = kmeans_fit(
-        DataMatrix(scores),
-        k,
-        restarts=restarts,
-        seed=seed,
-        max_iterations=max_iterations,
-        rel_tolerance=rel_tolerance,
-    )
-    return A, km
+    return A, kmeans_fit(DataMatrix(scores), k, restarts=restarts, seed=seed)

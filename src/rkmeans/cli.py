@@ -39,7 +39,7 @@ from .lab import (
 from .metrics import adjusted_rand_index
 from .selection import select_dimension
 from .solver import SolverConfig, fit_rkm, project
-from .types import DataMatrix
+from .types import Assignment, DataMatrix
 
 log = logging.getLogger("rkm")
 
@@ -179,24 +179,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_input(args) -> DataMatrix:
+def _load_input(args) -> tuple[DataMatrix, Assignment | None]:
+    """The --input matrix, normalized if asked, and the --truth labels (None
+    without --truth), both read and checked before anything is solved."""
     X = load_csv(args.input)
     log.info("loaded %dx%d matrix from %s", X.n, X.p, args.input)
     if args.normalize:
         X = normalize_columns(X)
         log.debug("normalized columns to zero mean, unit variance")
-    return X
-
-
-def _ari_against_truth(args, assignment) -> dict | None:
     if not args.truth:
-        return None
+        return X, None
     truth = load_labels_csv(args.truth)
-    if truth.n != assignment.n:
-        raise CsvParseError(
-            f"truth has {truth.n} labels but the data has {assignment.n} rows"
-        )
-    return {"ari": adjusted_rand_index(assignment, truth)}
+    if truth.n != X.n:
+        raise CsvParseError(f"truth has {truth.n} labels but the data has {X.n} rows")
+    return X, truth
+
+
+def _ari(truth, assignment) -> dict | None:
+    return None if truth is None else {"ari": adjusted_rand_index(assignment, truth)}
 
 
 def _timed(fn, *args, **kwargs):
@@ -224,7 +224,7 @@ def _emit(args, solution, metrics=None, timing=None, **overrides) -> None:
 def _cmd_fit(args) -> int:
     if args.emit_coords and not args.output:
         raise UsageError("--emit-coords requires --output")
-    X = _load_input(args)
+    X, truth = _load_input(args)
     config = SolverConfig(k=args.clusters, q=args.dims, restarts=args.restarts, seed=args.seed)
     sol, timing = _timed(fit_rkm, X, config)
     log.info("fit loss %.6g after %d sweeps (restart %d)",
@@ -236,7 +236,7 @@ def _cmd_fit(args) -> int:
         "loss": sol.loss,
         "iterations": sol.iterations,
         "restart_index": sol.restart_index,
-    }, _ari_against_truth(args, sol.assignment), timing)
+    }, _ari(truth, sol.assignment), timing)
     if args.emit_coords:
         scores, centers = project(X, sol)
         base = os.path.splitext(args.output)[0]
@@ -248,18 +248,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_kmeans(args) -> int:
-    X = _load_input(args)
+    X, truth = _load_input(args)
     km, timing = _timed(kmeans_fit, X, args.clusters, restarts=args.restarts, seed=args.seed)
     _emit(args, {
         "centers": matrix_payload(km.centers),
         "labels": [int(v) for v in km.assignment.labels],
         "loss": km.loss,
-    }, _ari_against_truth(args, km.assignment), timing)
+    }, _ari(truth, km.assignment), timing)
     return 0
 
 
 def _cmd_tandem(args) -> int:
-    X = _load_input(args)
+    X, truth = _load_input(args)
     (loading, km), timing = _timed(
         tandem_fit, X, args.clusters, args.dims, restarts=args.restarts, seed=args.seed
     )
@@ -268,30 +268,31 @@ def _cmd_tandem(args) -> int:
         "centers": matrix_payload(km.centers),
         "labels": [int(v) for v in km.assignment.labels],
         "loss": km.loss,
-    }, _ari_against_truth(args, km.assignment), timing)
+    }, _ari(truth, km.assignment), timing)
     return 0
 
 
 def _cmd_select_dim(args) -> int:
-    X = _load_input(args)
+    X, truth = _load_input(args)
     profile, timing = _timed(
-        select_dimension, X, args.clusters, args.max_dims,
-        SolverConfig(k=args.clusters, q=1, restarts=args.restarts, seed=args.seed),
+        select_dimension, X, args.clusters, args.max_dims, args.restarts, args.seed
     )
     best = profile.solutions[profile.q_hat - 1]
     _emit(args, {
         "vr": {str(q): v for q, v in sorted(profile.vr.items())},
         "delta2": {str(q): v for q, v in sorted(profile.delta2.items())},
         "q_hat": profile.q_hat,
-    }, _ari_against_truth(args, best.assignment), timing, max_dims=profile.q_max)
+    }, _ari(truth, best.assignment), timing, max_dims=profile.q_max)
     return 0
 
 
 def _cmd_gen(args) -> int:
+    explicit = (args.dims, args.p1, args.p2, args.p3)
     if args.preset:
+        if any(v is not None for v in explicit):
+            raise UsageError("--preset sets the geometry; drop --dims/--p1/--p2/--p3")
         geometry = dict(PRESETS[args.preset])
     else:
-        explicit = (args.dims, args.p1, args.p2, args.p3)
         if any(v is None for v in explicit):
             raise UsageError("gen needs --preset or all of --dims/--p1/--p2/--p3")
         geometry = dict(q=args.dims, p1=args.p1, p2=args.p2, p3=args.p3)
@@ -312,8 +313,7 @@ def _cmd_bench_consistency(args) -> int:
     pop = PopulationSpec(atoms, np.full(len(atoms), 1.0 / len(atoms)))
     report, timing = _timed(
         consistency_experiment, pop, args.clusters, args.dims, args.n_grid, args.reps,
-        config=SolverConfig(k=args.clusters, q=args.dims, restarts=args.restarts,
-                            seed=args.seed),
+        restarts=args.restarts, seed=args.seed,
     )
     if args.format == "csv":
         report.write_csv(args.output)
@@ -330,7 +330,7 @@ def _cmd_bench_agreement(args) -> int:
         agreement_experiment,
         [(geometry["q"], geometry["p1"], geometry["p2"], geometry["p3"])],
         reps=args.reps,
-        config=SolverConfig(k=8, q=1, restarts=args.restarts),
+        restarts=args.restarts,
         seed=args.seed,
     )
     result = results[0]

@@ -3,11 +3,12 @@ subspace of the first p1 variables, padded with p2 equicorrelated noise
 variables and p3 independent noise variables.
 
 Construction for each draw: an orthonormal p1 x q basis A* (polar factor of a
-Gaussian matrix), K cluster centers uniform on [-center_range, center_range]^q,
+Gaussian matrix), K cluster centers uniform on [-CENTER_RANGE, CENTER_RANGE]^q,
 equiprobable labels, and x_i = A f_{label(i)} + eps_i with A = [A*; 0] and
 eps_i ~ N(0, Sigma), Sigma block-diagonal (I_p1, equicorrelated p2 block with
-off-diagonal noise_corr, I_p3). All draws come from one counter-based stream,
-so a spec equals a dataset, bit for bit.
+off-diagonal NOISE_CORR, I_p3). CENTER_RANGE = 15 and NOISE_CORR = 0.25 are
+fixed. All draws come from one counter-based stream, so a spec equals a
+dataset, bit for bit.
 """
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ import numpy as np
 from ._seeds import spawn_rng
 from .errors import DegenerateDataError
 from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix
+
+# half-width of the cube the cluster centers are drawn from
+CENTER_RANGE = 15.0
+# off-diagonal correlation of the p2 correlated-noise variables
+NOISE_CORR = 0.25
 
 
 @dataclass(frozen=True)
@@ -30,8 +36,6 @@ class DatasetSpec:
     p2: int
     p3: int
     n: int
-    center_range: float = 15.0
-    noise_corr: float = 0.25
     seed: int = 0
     zero_noise: bool = False
 
@@ -44,10 +48,6 @@ class DatasetSpec:
             raise ValueError("p2 and p3 must be >= 0")
         if self.n < self.K:
             raise ValueError(f"need n >= K, got n={self.n}, K={self.K}")
-        if self.center_range <= 0:
-            raise ValueError("center_range must be positive")
-        if not -1.0 < self.noise_corr < 1.0:
-            raise ValueError("noise_corr must lie in (-1, 1)")
 
     @property
     def p(self) -> int:
@@ -75,7 +75,7 @@ def generate_dataset(spec: DatasetSpec) -> GeneratedDataset:
     a_star = u @ vh
     loading = np.zeros((spec.p, spec.q))
     loading[: spec.p1] = a_star
-    centers = rng.uniform(-spec.center_range, spec.center_range, (spec.K, spec.q))
+    centers = rng.uniform(-CENTER_RANGE, CENTER_RANGE, (spec.K, spec.q))
     labels = rng.integers(0, spec.K, spec.n)
 
     signal = centers[labels] @ loading.T
@@ -85,7 +85,7 @@ def generate_dataset(spec: DatasetSpec) -> GeneratedDataset:
     else:
         eps = rng.standard_normal((spec.n, spec.p))
         if spec.p2 >= 2:
-            sigma = np.full((spec.p2, spec.p2), spec.noise_corr)
+            sigma = np.full((spec.p2, spec.p2), NOISE_CORR)
             np.fill_diagonal(sigma, 1.0)
             chol = np.linalg.cholesky(sigma)
             block = slice(spec.p1, spec.p1 + spec.p2)

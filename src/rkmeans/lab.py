@@ -308,7 +308,8 @@ def consistency_experiment(
     q: int,
     n_grid,
     reps: int,
-    config: SolverConfig | None = None,
+    restarts: int = 20,
+    seed: int = 0,
     optimum: OracleSolution | None = None,
 ) -> ConvergenceReport:
     """Sample i.i.d. datasets of each size in n_grid, fit the model, and
@@ -317,20 +318,21 @@ def consistency_experiment(
     population risk of the fit.
 
     The optimum comes from the angle-grid oracle (p=2, q=1 only) unless an
-    analytic one is supplied. Seeds derive from (config.seed, n, rep).
+    analytic one is supplied. Rep r at size n fits the sample drawn by
+    spawn_rng(seed, n, r) with ``restarts`` restarts from the seed
+    spawn_seed(seed, n, r, 1).
     """
-    if config is None:
-        config = SolverConfig(k=k, q=q, restarts=20)
-    if config.k != k or config.q != q:
-        raise ValueError("config disagrees with the requested k, q")
+    config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one sample size")
-    for n in n_grid:
+    for i, n in enumerate(n_grid):
         if n < k:
             raise ValueError(f"n={n} is smaller than k={k}")
+        if n in n_grid[:i]:
+            raise ValueError(f"n_grid repeats the sample size n={n}")
     if optimum is None:
         if pop.p != 2 or q != 1:
             raise ValueError(
@@ -347,9 +349,9 @@ def consistency_experiment(
     theta_star = (optimum.centroids, optimum.loading)
     for n in n_grid:
         for r in range(reps):
-            idx = spawn_rng(config.seed, n, r).choice(pop.m, size=n, p=pop.weights)
+            idx = spawn_rng(seed, n, r).choice(pop.m, size=n, p=pop.weights)
             X = DataMatrix(pop.atoms[idx])
-            sol = fit_rkm(X, replace(config, seed=spawn_seed(config.seed, n, r, 1)))
+            sol = fit_rkm(X, replace(config, seed=spawn_seed(seed, n, r, 1)))
             try:
                 vr = vr_hat(X, sol)
             except DegenerateDataError:
@@ -391,21 +393,19 @@ def agreement_experiment(
     reps: int,
     n: int = 400,
     K: int = 8,
-    config: SolverConfig | None = None,
+    restarts: int = 50,
     seed: int = 0,
 ) -> tuple:
     """For each setting (q_true, p1, p2, p3): generate and normalize `reps`
     datasets, profile dimensions 1..min(K-1, p) with the selector, score each
     profiled fit by ARI against the ground truth, and count how often the
-    selected dimension matches the ARI-best one. The solver settings come
-    from ``config`` (default: 50 restarts), with k = K, q = 1 and a seed
-    derived per rep."""
+    selected dimension matches the ARI-best one. Rep r of setting si draws
+    its dataset from the seed spawn_seed(seed, si, r, 0) and profiles it with
+    ``restarts`` restarts per fit from the seed spawn_seed(seed, si, r, 1)."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if config is None:
-        base = SolverConfig(k=K, q=1, restarts=50)
-    else:
-        base = replace(config, k=K, q=1)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     results = []
     for si, (q_true, p1, p2, p3) in enumerate(settings):
         hits = 0
@@ -417,8 +417,8 @@ def agreement_experiment(
                     seed=spawn_seed(seed, si, r, 0),
                 )
             )
-            cfg = replace(base, seed=spawn_seed(seed, si, r, 1))
-            profile = select_dimension(ds.Z, K, config=cfg)
+            profile = select_dimension(ds.Z, K, restarts=restarts,
+                                       seed=spawn_seed(seed, si, r, 1))
             best_q, best_ari = None, -np.inf
             for q, sol in enumerate(profile.solutions, start=1):
                 ari = adjusted_rand_index(sol.assignment, ds.labels)

@@ -9,7 +9,7 @@ VR(q_max + 1) = VR(q_max).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +96,16 @@ def select_dimension(
     X: DataMatrix,
     k: int,
     q_max: int | None = None,
-    config: SolverConfig | None = None,
+    restarts: int = 50,
+    seed: int = 0,
 ) -> VrProfile:
     """Fit the model for every q in 1..q_max, score each fit by vr_hat, and
     select the q maximizing the second-difference profile.
 
-    q_max defaults to min(k - 1, p). Each per-q fit gets an independent seed
-    derived from (seed, q). The default restart budget is higher than the
-    plain solver's because selection quality hinges on near-global optima.
+    q_max defaults to min(k - 1, p). The q-th fit runs ``restarts`` restarts
+    from the independent seed spawn_seed(seed, q). The default restart
+    budget is higher than the plain solver's because selection quality
+    hinges on near-global optima.
     """
     k = int(k)
     if k < 2:
@@ -112,15 +114,10 @@ def select_dimension(
         q_max = min(k - 1, X.p)
     if not 1 <= q_max <= min(k - 1, X.p):
         raise ValueError(f"need 1 <= q_max <= min(k-1, p) = {min(k - 1, X.p)}")
-    if config is None:
-        config = SolverConfig(k=k, q=1, restarts=50)
-    if config.k != k:
-        raise ValueError(f"config.k={config.k} disagrees with k={k}")
     vr: dict = {}
     solutions = []
     for q in range(1, q_max + 1):
-        cfg = replace(config, q=q, seed=spawn_seed(config.seed, q))
-        sol = fit_rkm(X, cfg)
+        sol = fit_rkm(X, SolverConfig(k, q, restarts, seed=spawn_seed(seed, q)))
         vr[q] = vr_hat(X, sol)
         solutions.append(sol)
     delta2 = delta2_profile(vr)

@@ -8,7 +8,7 @@ One sweep updates, in order:
    followed by empty-cluster repair,
 3. the centroids as cluster means of the projected data XA,
 4. the loss, tracked per sweep; the run stops when its relative decrease
-   falls below the tolerance.
+   falls to REL_TOLERANCE or below.
 
 Each step minimizes the assigned loss |X - UFA'|^2 / n in its own block, so
 the per-sweep loss trace is non-increasing.
@@ -31,17 +31,20 @@ from .types import (
     _check_shapes,
 )
 
+# a run stops once a sweep lowers its loss by at most this fraction; the
+# Lloyd baseline stops by the same rule
+REL_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Fit-time knobs: cluster count k, subspace dimension q, restart budget,
-    iteration cap, relative-decrease stopping tolerance, and master seed."""
+    iteration cap, and master seed."""
 
     k: int
     q: int
     restarts: int = 30
     max_iterations: int = 300
-    rel_tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +56,6 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be positive")
 
     def validate_against(self, X: DataMatrix) -> None:
         if self.q > X.p:
@@ -123,7 +124,7 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
         chunk = range(first, min(first + width, config.restarts))
         results = _kernels.sweep_restarts(
             x, sx, *_starts(x, config, pca_a, chunk),
-            config.max_iterations, config.rel_tolerance,
+            config.max_iterations, REL_TOLERANCE,
         )
         for r, result in zip(chunk, results):
             if best is None or result[0] < best[0]:

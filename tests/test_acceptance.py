@@ -59,7 +59,8 @@ def trend_report():
         q=1,
         n_grid=(50, 200, 800, 3200),
         reps=50,
-        config=SolverConfig(k=2, q=1, restarts=20, seed=0),
+        restarts=20,
+        seed=0,
     )
 
 
@@ -186,7 +187,7 @@ def test_criterion_07_selector_agreement_rates():
         result = agreement_experiment(
             settings=[setting],
             reps=100,
-            config=SolverConfig(k=8, q=1, restarts=50),
+            restarts=50,
             seed=20260814,
         )[0]
         rates[setting] = result.rate

@@ -167,6 +167,14 @@ class TestGen:
         assert main(args) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dims", "--p1", "--p2", "--p3"])
+    def test_preset_excludes_explicit_geometry(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = ["gen", "--preset", "table1-q2p5", flag, "3", "--n", "20", "--output", str(out)]
+        assert main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_geometry_is_a_data_error(self, tmp_path, capsys):
         args = ["gen", "--dims", "1", "--p1", "2", "--p2", "-1", "--p3", "0",
                 "--output", str(tmp_path / "x.csv")]
@@ -383,11 +391,25 @@ class TestExitCodes:
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
 
-    def test_truth_length_mismatch(self, blob_dir, tmp_path, capsys):
+    def test_truth_length_mismatch(self, blob_dir, tmp_path, capsys, monkeypatch):
+        # the truth file is read and checked with the input, before any solve
+        from rkmeans import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the truth file was checked")
+
         short = tmp_path / "short.csv"
         write_labels_csv(short, [0, 1, 0])
-        assert main(blob_args(blob_dir, "--truth", str(short))) == 2
-        assert "data error" in capsys.readouterr().err
+        for command, solver in [(["fit", "--dims", "1"], "fit_rkm"),
+                                (["kmeans"], "kmeans_fit"),
+                                (["tandem", "--dims", "1"], "tandem_fit"),
+                                (["select-dim"], "select_dimension")]:
+            monkeypatch.setattr(cli, solver, unreachable)
+            args = [command[0], "--input", str(blob_dir / "blobs.csv"), "--clusters", "2",
+                    *command[1:], "--truth", str(short)]
+            assert main(args) == 2, command
+            assert capsys.readouterr().err == (
+                "data error: truth has 3 labels but the data has 24 rows\n")
 
     def test_impossible_cluster_count(self, blob_dir, capsys):
         args = ["fit", "--input", str(blob_dir / "blobs.csv"),

@@ -22,8 +22,6 @@ def test_spec_validation():
         DatasetSpec(K=2, q=3, p1=2, p2=0, p3=0, n=10)  # q > p1
     with pytest.raises(ValueError):
         DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=4)  # n < K
-    with pytest.raises(ValueError):
-        DatasetSpec(K=2, q=1, p1=2, p2=1, p3=1, n=10, noise_corr=1.0)
     spec = DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=400)
     assert spec.p == 15
 

@@ -19,20 +19,36 @@ from rkmeans import (
     CentroidSet,
     ConvergenceReport,
     DataMatrix,
+    DatasetSpec,
     DegenerateDataError,
     LoadingMatrix,
     OracleSolution,
     PopulationSpec,
     SolverConfig,
+    adjusted_rand_index,
     agreement_experiment,
     check_distinctness,
     consistency_experiment,
+    fit_rkm,
+    generate_dataset,
     oracle_global_min,
     population_risk,
     rate_bound,
+    select_dimension,
+    vr_hat,
 )
+from rkmeans import lab, selection
+from rkmeans._seeds import spawn_rng, spawn_seed
 from rkmeans.baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from rkmeans.lab import _grouped_1d_kmeans_loss, _population_vr
+
+
+def _assert_same_fit(a, b):
+    assert a.loss == b.loss
+    assert np.array_equal(a.loading.values, b.loading.values)
+    assert np.array_equal(a.centroids.values, b.centroids.values)
+    assert np.array_equal(a.assignment.labels, b.assignment.labels)
+    assert (a.iterations, a.restart_index, a.seed) == (b.iterations, b.restart_index, b.seed)
 
 
 def four_atom_pop() -> PopulationSpec:
@@ -316,6 +332,15 @@ class TestConvergenceReport:
         assert report.reps(5) == 2
 
 
+def _forbid_solves(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(lab, "oracle_global_min", unreachable)
+    monkeypatch.setattr(lab, "fit_rkm", unreachable)
+    monkeypatch.setattr(lab, "generate_dataset", unreachable)
+
+
 class TestConsistencyExperiment:
     def run_small(self, seed=11):
         return consistency_experiment(
@@ -324,7 +349,8 @@ class TestConsistencyExperiment:
             q=1,
             n_grid=(40, 160),
             reps=3,
-            config=SolverConfig(k=2, q=1, restarts=5, seed=seed),
+            restarts=5,
+            seed=seed,
         )
 
     def test_smoke_and_certified_sandwich(self):
@@ -352,8 +378,6 @@ class TestConsistencyExperiment:
 
     def test_oracle_solves_each_cluster_count_once(self, monkeypatch):
         # the distinctness check's k-cluster solution is the optimum itself
-        from rkmeans import lab
-
         solved = []
         oracle = lab.oracle_global_min
         monkeypatch.setattr(lab, "oracle_global_min",
@@ -379,7 +403,8 @@ class TestConsistencyExperiment:
             q=1,
             n_grid=(8,),
             reps=2,
-            config=SolverConfig(k=2, q=1, restarts=4, seed=3),
+            restarts=4,
+            seed=3,
             optimum=optimum,
         )
         assert report.oracle_loss == 0.0
@@ -388,11 +413,6 @@ class TestConsistencyExperiment:
 
     def test_argument_validation(self):
         pop = four_atom_pop()
-        with pytest.raises(ValueError, match="disagrees"):
-            consistency_experiment(
-                pop, k=2, q=1, n_grid=(10,), reps=1,
-                config=SolverConfig(k=3, q=1),
-            )
         pop3 = PopulationSpec(np.zeros((2, 3)) + np.eye(2, 3), [0.5, 0.5])
         with pytest.raises(ValueError, match="p=2, q=1"):
             consistency_experiment(pop3, k=2, q=1, n_grid=(10,), reps=1)
@@ -404,17 +424,41 @@ class TestConsistencyExperiment:
         ((10,), 0, "reps must be >= 1"),
         ((10,), -1, "reps must be >= 1"),
         ((), 3, "n_grid must hold at least one sample size"),
+        ((20, 40, 20), 1, "n_grid repeats the sample size n=20"),
     ])
     def test_arguments_checked_before_any_solve(self, monkeypatch, n_grid, reps, message):
-        from rkmeans import lab
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("solved before the arguments were checked")
-
-        monkeypatch.setattr(lab, "oracle_global_min", unreachable)
-        monkeypatch.setattr(lab, "fit_rkm", unreachable)
+        _forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match=message):
             consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=n_grid, reps=reps)
+
+    def test_restarts_checked_before_any_solve(self, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(10,), reps=1, restarts=0)
+
+    def test_each_rep_refits_its_own_sample_and_seed(self):
+        # rep (n, r) samples with spawn_rng(seed, n, r) and fits with
+        # spawn_seed(seed, n, r, 1), bit for bit
+        pop = four_atom_pop()
+        report = consistency_experiment(pop, k=2, q=1, n_grid=(12, 30), reps=2,
+                                        restarts=3, seed=4)
+        for n in (12, 30):
+            for r in range(2):
+                idx = spawn_rng(4, n, r).choice(pop.m, size=n, p=pop.weights)
+                X = DataMatrix(pop.atoms[idx])
+                sol = fit_rkm(X, SolverConfig(k=2, q=1, restarts=3, seed=spawn_seed(4, n, r, 1)))
+                assert report.losses[n][r] == sol.loss
+                assert report.vr_values[n][r] == vr_hat(X, sol)
+                assert report.population_risks[n][r] == population_risk(
+                    pop, sol.loading, sol.centroids)
+
+    def test_defaults_to_20_restarts_and_seed_0(self, monkeypatch):
+        seen = []
+        real = lab.fit_rkm
+        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg: seen.append(cfg) or real(X, cfg))
+        consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(8,), reps=2)
+        assert seen == [SolverConfig(k=2, q=1, restarts=20, seed=spawn_seed(0, 8, r, 1))
+                        for r in range(2)]
 
 
 class TestAgreementExperiment:
@@ -424,7 +468,7 @@ class TestAgreementExperiment:
             reps=2,
             n=120,
             K=8,
-            config=SolverConfig(k=8, q=1, restarts=3),
+            restarts=3,
             seed=5,
         )
         assert len(results) == 1
@@ -444,7 +488,7 @@ class TestAgreementExperiment:
             reps=2,
             n=120,
             K=8,
-            config=SolverConfig(k=8, q=1, restarts=3),
+            restarts=3,
             seed=5,
         )
         first = agreement_experiment(**kwargs)
@@ -452,10 +496,45 @@ class TestAgreementExperiment:
         assert first[0].picks == second[0].picks
         assert first[0].hits == second[0].hits
 
+    def test_each_rep_profiles_its_own_dataset_and_seed(self, monkeypatch):
+        # rep r of setting si is select_dimension on the dataset seeded
+        # spawn_seed(seed, si, r, 0), with seed spawn_seed(seed, si, r, 1)
+        profiles = []
+        real = lab.select_dimension
+        monkeypatch.setattr(lab, "select_dimension",
+                            lambda *a, **kw: profiles.append(real(*a, **kw)) or profiles[-1])
+        settings = [(2, 3, 2, 1), (1, 3, 0, 2)]
+        results = agreement_experiment(settings, reps=2, n=60, K=4, restarts=3, seed=5)
+        assert len(profiles) == 4
+        for si, (q_true, p1, p2, p3) in enumerate(settings):
+            for r in range(2):
+                ds = generate_dataset(DatasetSpec(K=4, q=q_true, p1=p1, p2=p2, p3=p3, n=60,
+                                                  seed=spawn_seed(5, si, r, 0)))
+                ref = select_dimension(ds.Z, 4, restarts=3, seed=spawn_seed(5, si, r, 1))
+                got = profiles[2 * si + r]
+                assert len(got.solutions) == len(ref.solutions) == 3
+                for a, b in zip(got.solutions, ref.solutions):
+                    _assert_same_fit(a, b)
+                aris = [adjusted_rand_index(sol.assignment, ds.labels) for sol in ref.solutions]
+                assert results[si].picks[r] == (ref.q_hat, 1 + int(np.argmax(aris)))
+
+    def test_defaults_to_50_restarts_and_seed_0(self, monkeypatch):
+        seen = []
+        real = selection.fit_rkm
+        monkeypatch.setattr(selection, "fit_rkm", lambda X, cfg: seen.append(cfg) or real(X, cfg))
+        agreement_experiment([(1, 2, 0, 1)], reps=1, n=20, K=2)
+        rep_seed = spawn_seed(0, 0, 0, 1)
+        assert seen == [SolverConfig(k=2, q=1, restarts=50, seed=spawn_seed(rep_seed, 1))]
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_must_be_positive(self, reps):
         with pytest.raises(ValueError, match="reps must be >= 1"):
             agreement_experiment(settings=[(2, 5, 5, 5)], reps=reps)
+
+    def test_restarts_checked_before_any_dataset(self, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            agreement_experiment(settings=[(2, 5, 5, 5)], reps=1, restarts=0)
 
 
 class TestRateBound:

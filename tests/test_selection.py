@@ -18,6 +18,8 @@ from rkmeans import (
     select_dimension,
     vr_hat,
 )
+from rkmeans import selection
+from rkmeans._seeds import spawn_seed
 from rkmeans.selection import argmax_delta2
 
 
@@ -129,8 +131,6 @@ def test_select_dimension_validation():
         select_dimension(X, 1)
     with pytest.raises(ValueError):
         select_dimension(X, 3, q_max=3)  # exceeds k - 1
-    with pytest.raises(ValueError):
-        select_dimension(X, 3, config=SolverConfig(k=4, q=1))
 
 
 def test_zero_noise_vr_vanishes_everywhere():
@@ -138,7 +138,7 @@ def test_zero_noise_vr_vanishes_everywhere():
     # perfectly, so the whole VR curve is 0
     ds = generate_dataset(DatasetSpec(K=4, q=2, p1=3, p2=2, p3=2, n=120,
                                       seed=0, zero_noise=True))
-    prof = select_dimension(ds.X, 4, config=SolverConfig(k=4, q=1, restarts=20, seed=0))
+    prof = select_dimension(ds.X, 4, restarts=20, seed=0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in prof.vr.values())
 
 
@@ -159,7 +159,7 @@ def test_select_dimension_collinear_clusters():
         rng = np.random.default_rng(seed)
         t = rng.choice([-20.0, 0.0, 20.0], size=90)
         X = DataMatrix(np.outer(t, v) + 0.05 * rng.standard_normal((90, 3)))
-        prof = select_dimension(X, 3, config=SolverConfig(k=3, q=1, restarts=10, seed=seed))
+        prof = select_dimension(X, 3, restarts=10, seed=seed)
         assert prof.q_hat == 1
     del rng0
 
@@ -167,8 +167,8 @@ def test_select_dimension_collinear_clusters():
 def test_select_dimension_deterministic():
     rng = np.random.default_rng(1)
     X = DataMatrix(rng.standard_normal((50, 5)) + rng.integers(0, 4, 50)[:, None])
-    a = select_dimension(X, 4, config=SolverConfig(k=4, q=1, restarts=10, seed=3))
-    b = select_dimension(X, 4, config=SolverConfig(k=4, q=1, restarts=10, seed=3))
+    a = select_dimension(X, 4, restarts=10, seed=3)
+    b = select_dimension(X, 4, restarts=10, seed=3)
     assert a.q_hat == b.q_hat and a.vr == b.vr and a.delta2 == b.delta2
 
 
@@ -178,6 +178,34 @@ def test_select_dimension_recovers_planted_q_on_benchmark():
     hits = 0
     for r in range(12):
         ds = generate_dataset(DatasetSpec(K=8, q=2, p1=10, p2=10, p3=10, n=400, seed=1000 + r))
-        prof = select_dimension(ds.Z, 8, config=SolverConfig(k=8, q=1, restarts=50, seed=r))
+        prof = select_dimension(ds.Z, 8, restarts=50, seed=r)
         hits += prof.q_hat == 2
     assert hits >= 11, f"selector found the planted dimension on only {hits}/12 runs"
+
+
+def _assert_same_fit(a, b):
+    assert a.loss == b.loss
+    assert np.array_equal(a.loading.values, b.loading.values)
+    assert np.array_equal(a.centroids.values, b.centroids.values)
+    assert np.array_equal(a.assignment.labels, b.assignment.labels)
+    assert (a.iterations, a.restart_index, a.seed) == (b.iterations, b.restart_index, b.seed)
+
+
+def test_select_dimension_seeds_each_q_from_seed_and_q():
+    # the q-th fit is fit_rkm with seed spawn_seed(seed, q), bit for bit
+    rng = np.random.default_rng(7)
+    X = DataMatrix(rng.standard_normal((40, 4)) + rng.integers(0, 3, 40)[:, None])
+    prof = select_dimension(X, 4, restarts=6, seed=9)
+    assert len(prof.solutions) == 3
+    for q, sol in enumerate(prof.solutions, start=1):
+        _assert_same_fit(sol, fit_rkm(X, SolverConfig(k=4, q=q, restarts=6,
+                                                      seed=spawn_seed(9, q))))
+
+
+def test_select_dimension_defaults_to_50_restarts_and_seed_0(monkeypatch):
+    seen = []
+    real = selection.fit_rkm
+    monkeypatch.setattr(selection, "fit_rkm", lambda X, cfg: seen.append(cfg) or real(X, cfg))
+    X = DataMatrix(np.random.default_rng(2).standard_normal((30, 3)))
+    select_dimension(X, 3)
+    assert seen == [SolverConfig(k=3, q=q, restarts=50, seed=spawn_seed(0, q)) for q in (1, 2)]

@@ -108,7 +108,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=2, q=1, restarts=0)
     with pytest.raises(ValueError):
-        SolverConfig(k=2, q=1, rel_tolerance=0.0)
+        SolverConfig(k=2, q=1, max_iterations=0)
     cfg = SolverConfig(k=5, q=3)
     with pytest.raises(ValueError):
         cfg.validate_against(DataMatrix(np.ones((4, 3))))  # k > n
