@@ -310,8 +310,9 @@ def _finalize_repairs(
         counts = np.bincount(labels, minlength=k)
         if np.all(counts > 0):
             return labels, float(low.sum())
-    # absurdly degenerate data (all projections equal); repair leaves every
-    # cluster non-empty and all distances are zero-like, use assigned form
+    # every argmin left a cluster empty, as it must with fewer distinct
+    # projected rows than k (equal rows share their argmin center); one more
+    # repair leaves every cluster non-empty, and the loss is in assigned form
     repair_empty_clusters(y, f, labels, counts)
     diff = y - f[labels]
     return labels, float(np.sum(diff * diff))

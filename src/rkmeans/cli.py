@@ -20,7 +20,14 @@ import numpy as np
 
 from . import __version__
 from .baselines import kmeans_fit, tandem_fit
-from .datagen import DatasetSpec, generate_dataset, normalize_columns
+from .datagen import (
+    PRESETS,
+    TABLE1_K,
+    TABLE1_N,
+    DatasetSpec,
+    generate_dataset,
+    normalize_columns,
+)
 from .errors import CsvParseError, DegenerateDataError
 from .io import (
     ResultDocument,
@@ -42,15 +49,6 @@ from .solver import SolverConfig, fit_rkm, project
 from .types import Assignment, DataMatrix
 
 log = logging.getLogger("rkm")
-
-# benchmark presets: 8 equiprobable clusters, 400 objects, latent dimension q
-# hidden among p1 informative + p2 correlated-noise + p3 independent variables
-PRESETS = {
-    "table1-q2p5": dict(q=2, p1=5, p2=5, p3=5),
-    "table1-q2p10": dict(q=2, p1=10, p2=10, p3=10),
-    "table1-q3p5": dict(q=3, p1=5, p2=5, p3=5),
-    "table1-q3p10": dict(q=3, p1=10, p2=10, p3=10),
-}
 
 # four symmetric atoms whose optimal one-dimensional clustering is known in
 # closed form; the default population for bench-consistency
@@ -134,8 +132,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--p1", type=_positive_int, help="informative variables")
     sub.add_argument("--p2", type=int, help="correlated noise variables")
     sub.add_argument("--p3", type=int, help="independent noise variables")
-    sub.add_argument("--clusters", type=_positive_int, default=8, metavar="K")
-    sub.add_argument("--n", type=_positive_int, default=400)
+    sub.add_argument("--clusters", type=_positive_int, default=TABLE1_K, metavar="K")
+    sub.add_argument("--n", type=_positive_int, default=TABLE1_N)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", required=True, help="CSV path for the data matrix")
     sub.set_defaults(func=_cmd_gen)

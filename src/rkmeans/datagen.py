@@ -8,7 +8,11 @@ equiprobable labels, and x_i = A f_{label(i)} + eps_i with A = [A*; 0] and
 eps_i ~ N(0, Sigma), Sigma block-diagonal (I_p1, equicorrelated p2 block with
 off-diagonal NOISE_CORR, I_p3). CENTER_RANGE = 15 and NOISE_CORR = 0.25 are
 fixed. All draws come from one counter-based stream, so a spec equals a
-dataset, bit for bit.
+dataset, bit for bit. Z, the column-normalized X, is always set. The matrix
+the noise is added to is exactly centers_true[labels] @ loading_true.T.
+
+The benchmark (Table 1) draws TABLE1_N = 400 objects in TABLE1_K = 8
+clusters, in the geometries named in PRESETS.
 """
 from __future__ import annotations
 
@@ -24,6 +28,16 @@ from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix
 CENTER_RANGE = 15.0
 # off-diagonal correlation of the p2 correlated-noise variables
 NOISE_CORR = 0.25
+TABLE1_K = 8
+TABLE1_N = 400
+# latent dimension q hidden among p1 informative + p2 correlated-noise + p3
+# independent variables
+PRESETS = {
+    "table1-q2p5": dict(q=2, p1=5, p2=5, p3=5),
+    "table1-q2p10": dict(q=2, p1=10, p2=10, p3=10),
+    "table1-q3p5": dict(q=3, p1=5, p2=5, p3=5),
+    "table1-q3p10": dict(q=3, p1=10, p2=10, p3=10),
+}
 
 
 @dataclass(frozen=True)
@@ -37,7 +51,6 @@ class DatasetSpec:
     p3: int
     n: int
     seed: int = 0
-    zero_noise: bool = False
 
     def __post_init__(self):
         if self.K < 1:
@@ -57,11 +70,10 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class GeneratedDataset:
     """A drawn dataset with its ground truth. Z is the column-normalized copy
-    of X, or None when the spec disabled noise (normalization would divide by
-    zero on the exactly-constant noise columns)."""
+    of X."""
 
     X: DataMatrix
-    Z: DataMatrix | None
+    Z: DataMatrix
     labels: Assignment
     loading_true: LoadingMatrix
     centers_true: CentroidSet
@@ -78,23 +90,17 @@ def generate_dataset(spec: DatasetSpec) -> GeneratedDataset:
     centers = rng.uniform(-CENTER_RANGE, CENTER_RANGE, (spec.K, spec.q))
     labels = rng.integers(0, spec.K, spec.n)
 
-    signal = centers[labels] @ loading.T
-    if spec.zero_noise:
-        x = signal
-        z = None
-    else:
-        eps = rng.standard_normal((spec.n, spec.p))
-        if spec.p2 >= 2:
-            sigma = np.full((spec.p2, spec.p2), NOISE_CORR)
-            np.fill_diagonal(sigma, 1.0)
-            chol = np.linalg.cholesky(sigma)
-            block = slice(spec.p1, spec.p1 + spec.p2)
-            eps[:, block] = eps[:, block] @ chol.T
-        x = signal + eps
-        z = normalize_columns(DataMatrix(x))
+    eps = rng.standard_normal((spec.n, spec.p))
+    if spec.p2 >= 2:
+        sigma = np.full((spec.p2, spec.p2), NOISE_CORR)
+        np.fill_diagonal(sigma, 1.0)
+        chol = np.linalg.cholesky(sigma)
+        block = slice(spec.p1, spec.p1 + spec.p2)
+        eps[:, block] = eps[:, block] @ chol.T
+    x = DataMatrix(centers[labels] @ loading.T + eps)
     return GeneratedDataset(
-        X=DataMatrix(x),
-        Z=z,
+        X=x,
+        Z=normalize_columns(x),
         labels=Assignment(labels, spec.K),
         loading_true=LoadingMatrix(loading),
         centers_true=CentroidSet(centers),

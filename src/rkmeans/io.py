@@ -13,8 +13,9 @@ the header test reads -- goes to the csv.reader walk, which parses each cell
 with float(). Only the walk reports parse failures, naming the 1-based line
 of the file and the column.
 
-CSV out: csv's excel dialect (``\\r\\n`` line ends, a header cell quoted
-where needed); data cells are ``repr`` of each float, written a row at a time.
+CSV out: csv's excel dialect bytes (``\\r\\n`` line ends), no header on a
+matrix and the header ``label`` on a label column; a matrix cell is the
+``repr`` of its float, written a row at a time.
 
 Results out: a versioned JSON document; matrices carry explicit row and
 column counts so documents survive schema drift. Serialization is canonical
@@ -147,7 +148,7 @@ def load_csv(path) -> DataMatrix:
         raise CsvParseError(f"invalid matrix in {path}: {exc}")
 
 
-def load_labels_csv(path, n_clusters: int | None = None) -> Assignment:
+def load_labels_csv(path) -> Assignment:
     """Read a single-column CSV of integer labels (optional header)."""
     matrix = load_csv(path)
     if matrix.p != 1:
@@ -162,26 +163,22 @@ def load_labels_csv(path, n_clusters: int | None = None) -> Assignment:
     if negative.size:
         raise CsvParseError("labels must be >= 0",
                             row=_data_line(path, negative[0]), column=1)
-    k = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
-    return Assignment(labels, k)
+    return Assignment(labels, int(labels.max()) + 1)
 
 
-def write_matrix_csv(path, values, header=None) -> None:
+def write_matrix_csv(path, values) -> None:
     arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {arr.shape}")
     with open(path, "w", newline="") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
         # csv.writer's bytes: a float's repr never needs quoting
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in arr.tolist())
 
 
-def write_labels_csv(path, labels, header="label") -> None:
+def write_labels_csv(path, labels) -> None:
     arr = np.asarray(labels, dtype=np.int64).reshape(-1)
     with open(path, "w", newline="") as fh:
-        if header is not None:
-            csv.writer(fh).writerow([header])
+        fh.write("label\r\n")
         fh.writelines(f"{value}\r\n" for value in arr.tolist())
 
 

@@ -9,7 +9,7 @@ at desk scale:
 * replicated sampling experiments that track the fitted loss, the aligned
   parameter distance to the population optimum, and the variance-ratio
   statistic across a grid of sample sizes,
-* dimension-selection agreement rates on the synthetic benchmark,
+* dimension-selection agreement rates on the synthetic benchmark (Table 1),
 * the finite-sample deviation-probability bound.
 
 Every replication derives its own RNG stream from (seed, n, rep), so reports
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._seeds import spawn_rng, spawn_seed
 from .baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
-from .datagen import DatasetSpec, generate_dataset
+from .datagen import TABLE1_K, TABLE1_N, DatasetSpec, generate_dataset
 from .errors import DegenerateDataError
 from .metrics import adjusted_rand_index, param_distance
 from .selection import select_dimension, vr_hat
@@ -310,17 +310,16 @@ def consistency_experiment(
     reps: int,
     restarts: int = 20,
     seed: int = 0,
-    optimum: OracleSolution | None = None,
 ) -> ConvergenceReport:
     """Sample i.i.d. datasets of each size in n_grid, fit the model, and
     record per rep the fitted loss, the aligned parameter distance to the
     population optimum, the variance-ratio statistic, and the exact
     population risk of the fit.
 
-    The optimum comes from the angle-grid oracle (p=2, q=1 only) unless an
-    analytic one is supplied. Rep r at size n fits the sample drawn by
-    spawn_rng(seed, n, r) with ``restarts`` restarts from the seed
-    spawn_seed(seed, n, r, 1).
+    The optimum comes from the angle-grid oracle, so p=2 and q=1 are checked
+    with the other arguments, before any solve. Rep r at size n fits the
+    sample drawn by spawn_rng(seed, n, r) with ``restarts`` restarts from the
+    seed spawn_seed(seed, n, r, 1).
     """
     config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
     if reps < 1:
@@ -333,12 +332,9 @@ def consistency_experiment(
             raise ValueError(f"n={n} is smaller than k={k}")
         if n in n_grid[:i]:
             raise ValueError(f"n_grid repeats the sample size n={n}")
-    if optimum is None:
-        if pop.p != 2 or q != 1:
-            raise ValueError(
-                "no analytic optimum supplied and the oracle needs p=2, q=1"
-            )
-        optimum = _distinct_optima(pop, k)[-1]
+    if pop.p != 2 or q != 1:
+        raise ValueError(f"the oracle needs p=2, q=1, got p={pop.p}, q={q}")
+    optimum = _distinct_optima(pop, k)[-1]
     oracle_vr = None
     try:
         oracle_vr = _population_vr(pop, optimum)
@@ -358,7 +354,7 @@ def consistency_experiment(
                 vr = float("nan")
             values = (
                 sol.loss,
-                param_distance((sol.centroids, sol.loading), theta_star, align=True),
+                param_distance((sol.centroids, sol.loading), theta_star),
                 vr,
                 population_risk(pop, sol.loading, sol.centroids),
             )
@@ -391,33 +387,30 @@ class AgreementResult:
 def agreement_experiment(
     settings,
     reps: int,
-    n: int = 400,
-    K: int = 8,
     restarts: int = 50,
     seed: int = 0,
 ) -> tuple:
     """For each setting (q_true, p1, p2, p3): generate and normalize `reps`
-    datasets, profile dimensions 1..min(K-1, p) with the selector, score each
+    datasets of the Table-1 shape (TABLE1_N objects in TABLE1_K clusters),
+    profile dimensions 1..min(TABLE1_K - 1, p) with the selector, score each
     profiled fit by ARI against the ground truth, and count how often the
     selected dimension matches the ARI-best one. Rep r of setting si draws
     its dataset from the seed spawn_seed(seed, si, r, 0) and profiles it with
-    ``restarts`` restarts per fit from the seed spawn_seed(seed, si, r, 1)."""
+    ``restarts`` restarts per fit from the seed spawn_seed(seed, si, r, 1).
+    Every setting is checked before the first dataset is drawn."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    specs = [DatasetSpec(K=TABLE1_K, q=q_true, p1=p1, p2=p2, p3=p3, n=TABLE1_N)
+             for q_true, p1, p2, p3 in settings]
     results = []
-    for si, (q_true, p1, p2, p3) in enumerate(settings):
+    for si, spec in enumerate(specs):
         hits = 0
         picks = []
         for r in range(reps):
-            ds = generate_dataset(
-                DatasetSpec(
-                    K=K, q=q_true, p1=p1, p2=p2, p3=p3, n=n,
-                    seed=spawn_seed(seed, si, r, 0),
-                )
-            )
-            profile = select_dimension(ds.Z, K, restarts=restarts,
+            ds = generate_dataset(replace(spec, seed=spawn_seed(seed, si, r, 0)))
+            profile = select_dimension(ds.Z, TABLE1_K, restarts=restarts,
                                        seed=spawn_seed(seed, si, r, 1))
             best_q, best_ari = None, -np.inf
             for q, sol in enumerate(profile.solutions, start=1):
@@ -426,11 +419,8 @@ def agreement_experiment(
                     best_q, best_ari = q, ari
             picks.append((profile.q_hat, best_q))
             hits += int(profile.q_hat == best_q)
-        results.append(
-            AgreementResult(
-                setting=(q_true, p1, p2, p3), reps=reps, hits=hits, picks=tuple(picks)
-            )
-        )
+        setting = (spec.q, spec.p1, spec.p2, spec.p3)
+        results.append(AgreementResult(setting=setting, reps=reps, hits=hits, picks=tuple(picks)))
     return tuple(results)
 
 

@@ -2,8 +2,8 @@
 
 Partition agreement uses the chance-corrected adjusted Rand index. Fitted
 (centroids, loading) pairs are compared with a product distance: Frobenius
-on loadings, symmetric Hausdorff on centroid rows, combined by max, after
-an optional orthogonal Procrustes alignment that removes the rotational
+on loadings, symmetric Hausdorff on centroid rows, combined by max, always
+after the orthogonal Procrustes alignment that removes the rotational
 indeterminacy of the model.
 """
 from __future__ import annotations
@@ -66,14 +66,11 @@ def align_rotation(A1: LoadingMatrix, A2: LoadingMatrix) -> np.ndarray:
 def param_distance(
     theta1: tuple[CentroidSet, LoadingMatrix],
     theta2: tuple[CentroidSet, LoadingMatrix],
-    align: bool = True,
 ) -> float:
     """Product distance max(|A1 - A2|_F, Hausdorff(F1, F2)) between two
-    (centroids, loading) pairs.
-
-    With ``align`` set, theta1 is first rotated onto theta2 by the Procrustes
-    rotation R of the loadings; centroid rows rotate with the same R, which
-    leaves the model's loss unchanged.
+    (centroids, loading) pairs, after theta1 is rotated onto theta2 by the
+    Procrustes rotation R of the loadings; centroid rows rotate with the same
+    R, which leaves the model's loss unchanged.
     """
     f1, a1 = theta1
     f2, a2 = theta2
@@ -83,11 +80,7 @@ def param_distance(
         )
     if f1.q != a1.q or f2.q != a2.q:
         raise ValueError("centroids and loadings disagree on dimension")
-    a1v, f1v = a1.values, f1.values
-    if align:
-        r = align_rotation(a1, a2)
-        a1v = a1v @ r
-        f1v = f1v @ r
-    d_load = float(np.linalg.norm(a1v - a2.values))
-    d_cent = symmetric_hausdorff(CentroidSet(f1v), f2)
+    r = align_rotation(a1, a2)
+    d_load = float(np.linalg.norm(a1.values @ r - a2.values))
+    d_cent = symmetric_hausdorff(CentroidSet(f1.values @ r), f2)
     return max(d_load, d_cent)

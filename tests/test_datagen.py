@@ -97,22 +97,27 @@ def test_independent_noise_block_uncorrelated():
     assert abs(np.mean(vals)) <= 0.05
 
 
+def noise_free(ds) -> DataMatrix:
+    """The dataset's signal, the matrix its noise is added to."""
+    return DataMatrix(ds.centers_true.values[ds.labels.labels] @ ds.loading_true.values.T)
+
+
 def test_zero_noise_embedding_is_exact():
-    ds = generate_dataset(DatasetSpec(K=4, q=2, p1=3, p2=2, p3=2, n=60,
-                                      seed=9, zero_noise=True))
-    assert ds.Z is None
-    recon = ds.centers_true.values[ds.labels.labels] @ ds.loading_true.values.T
-    assert np.array_equal(ds.X.values, recon)
+    ds = generate_dataset(DatasetSpec(K=4, q=2, p1=3, p2=2, p3=2, n=60, seed=9))
+    signal = noise_free(ds)
+    # the signal lives in the p1 informative variables; the rest is noise
+    assert np.all(signal.values[:, 3:] == 0.0)
+    assert np.all(ds.X.values[:, 3:] != 0.0)
     # projecting back onto the true loading recovers the centers
-    y = ds.X.values @ ds.loading_true.values
+    y = signal.values @ ds.loading_true.values
     assert np.allclose(y, ds.centers_true.values[ds.labels.labels], atol=1e-12)
 
 
 def test_zero_noise_fits_recover_truth():
     for seed in range(10):
-        spec = DatasetSpec(K=4, q=2, p1=4, p2=2, p3=2, n=80, seed=seed, zero_noise=True)
-        ds = generate_dataset(spec)
-        sol = fit_rkm(ds.X, SolverConfig(k=4, q=2, restarts=10, seed=seed))
+        ds = generate_dataset(DatasetSpec(K=4, q=2, p1=4, p2=2, p3=2, n=80, seed=seed))
+        X = noise_free(ds)
+        sol = fit_rkm(X, SolverConfig(k=4, q=2, restarts=10, seed=seed))
         assert adjusted_rand_index(ds.labels, sol.assignment) == 1.0
         assert sol.loss == pytest.approx(0.0, abs=1e-16)
 

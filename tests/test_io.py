@@ -222,10 +222,6 @@ class TestLabels:
         assert list(a.labels) == [0, 1, 0]
         assert a.n_clusters == 2
 
-    def test_explicit_cluster_count(self, tmp_path):
-        a = load_labels_csv(write(tmp_path / "l.csv", "0\n1\n"), n_clusters=4)
-        assert a.n_clusters == 4
-
     def test_two_columns_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="one column"):
             load_labels_csv(write(tmp_path / "l.csv", "0,1\n"))
@@ -272,12 +268,6 @@ class TestMatrixRoundTrips:
         write_matrix_csv(path, values)
         assert np.array_equal(load_csv(path).values, values)
 
-    def test_header_row_survives(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, [[1.5, 2.5]], header=["x1", "x2"])
-        assert path.read_text().splitlines()[0] == "x1,x2"
-        assert np.array_equal(load_csv(path).values, [[1.5, 2.5]])
-
     def test_payload_row_and_column_orders(self):
         arr = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         by_row = matrix_payload(arr, order="row")
@@ -322,13 +312,13 @@ class TestWritersMatchCsvWriter:
         yield np.array(self.SPECIAL).reshape(-1, 1)
         yield np.floor(rng.standard_normal((6, 4)) * 100)
 
-    @pytest.mark.parametrize("header", [None, ["x1", "x2"], ["a,b", 'say "hi"']])
+    # a matrix has no header row; a label column always has "label"
+    @pytest.mark.parametrize("header", [None])
     def test_matrix_bytes(self, tmp_path, header):
         for i, values in enumerate(self.matrices()):
-            head = None if header is None else (header * values.shape[1])[:values.shape[1]]
             path = tmp_path / f"m{i}.csv"
-            write_matrix_csv(path, values, header=head)
-            expected = csv_writer_bytes([[repr(float(v)) for v in row] for row in values], head)
+            write_matrix_csv(path, values)
+            expected = csv_writer_bytes([[repr(float(v)) for v in row] for row in values], header)
             assert path.read_bytes() == expected
 
     def test_one_dimensional_input_is_one_row(self, tmp_path):
@@ -336,14 +326,13 @@ class TestWritersMatchCsvWriter:
         write_matrix_csv(path, [1.0, -0.0, 2.5])
         assert path.read_bytes() == b"1.0,-0.0,2.5\r\n"
 
-    @pytest.mark.parametrize("header", ["label", None, "a,b"])
+    @pytest.mark.parametrize("header", ["label"])
     def test_label_bytes(self, tmp_path, header):
         rng = np.random.default_rng(5)
         for i, labels in enumerate([[0], [3, 0, 12], rng.integers(0, 10**9, 50), []]):
             path = tmp_path / f"l{i}.csv"
-            write_labels_csv(path, labels, header=header)
-            expected = csv_writer_bytes([[int(v)] for v in labels],
-                                        None if header is None else [header])
+            write_labels_csv(path, labels)
+            expected = csv_writer_bytes([[int(v)] for v in labels], [header])
             assert path.read_bytes() == expected
 
 

@@ -387,30 +387,6 @@ class TestConsistencyExperiment:
         optimum = oracle(four_atom_pop(), 2)
         assert (report.oracle_loss, report.oracle_gap) == (optimum.loss, optimum.grid_gap)
 
-    def test_supplied_optimum_skips_the_planar_oracle(self):
-        atoms = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        pop = PopulationSpec(atoms, np.array([0.5, 0.5]))
-        optimum = OracleSolution(
-            loss=0.0,
-            loading=LoadingMatrix(np.array([[1.0], [0.0], [0.0]])),
-            centroids=CentroidSet(np.array([[-1.0], [1.0]])),
-            angle=0.0,
-            grid_gap=0.0,
-        )
-        report = consistency_experiment(
-            pop,
-            k=2,
-            q=1,
-            n_grid=(8,),
-            reps=2,
-            restarts=4,
-            seed=3,
-            optimum=optimum,
-        )
-        assert report.oracle_loss == 0.0
-        assert max(report.losses[8]) == pytest.approx(0.0, abs=1e-12)
-        assert max(report.distances[8]) == pytest.approx(0.0, abs=1e-6)
-
     def test_argument_validation(self):
         pop = four_atom_pop()
         pop3 = PopulationSpec(np.zeros((2, 3)) + np.eye(2, 3), [0.5, 0.5])
@@ -430,6 +406,15 @@ class TestConsistencyExperiment:
         _forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match=message):
             consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=n_grid, reps=reps)
+
+    @pytest.mark.parametrize("pop, q, message", [
+        (PopulationSpec(np.eye(2, 3), [0.5, 0.5]), 1, "p=2, q=1, got p=3, q=1"),
+        (four_atom_pop(), 2, "p=2, q=1, got p=2, q=2"),
+    ], ids=["p=3", "q=2"])
+    def test_oracle_shape_checked_before_any_solve(self, monkeypatch, pop, q, message):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            consistency_experiment(pop, k=2, q=q, n_grid=(10,), reps=1)
 
     def test_restarts_checked_before_any_solve(self, monkeypatch):
         _forbid_solves(monkeypatch)
@@ -466,8 +451,6 @@ class TestAgreementExperiment:
         results = agreement_experiment(
             settings=[(2, 5, 5, 5)],
             reps=2,
-            n=120,
-            K=8,
             restarts=3,
             seed=5,
         )
@@ -486,8 +469,6 @@ class TestAgreementExperiment:
         kwargs = dict(
             settings=[(2, 5, 5, 5)],
             reps=2,
-            n=120,
-            K=8,
             restarts=3,
             seed=5,
         )
@@ -497,22 +478,23 @@ class TestAgreementExperiment:
         assert first[0].hits == second[0].hits
 
     def test_each_rep_profiles_its_own_dataset_and_seed(self, monkeypatch):
-        # rep r of setting si is select_dimension on the dataset seeded
-        # spawn_seed(seed, si, r, 0), with seed spawn_seed(seed, si, r, 1)
+        # rep r of setting si is select_dimension on the Table-1 shape
+        # (n = 400, K = 8) seeded spawn_seed(seed, si, r, 0), with seed
+        # spawn_seed(seed, si, r, 1)
         profiles = []
         real = lab.select_dimension
         monkeypatch.setattr(lab, "select_dimension",
                             lambda *a, **kw: profiles.append(real(*a, **kw)) or profiles[-1])
         settings = [(2, 3, 2, 1), (1, 3, 0, 2)]
-        results = agreement_experiment(settings, reps=2, n=60, K=4, restarts=3, seed=5)
+        results = agreement_experiment(settings, reps=2, restarts=3, seed=5)
         assert len(profiles) == 4
         for si, (q_true, p1, p2, p3) in enumerate(settings):
             for r in range(2):
-                ds = generate_dataset(DatasetSpec(K=4, q=q_true, p1=p1, p2=p2, p3=p3, n=60,
+                ds = generate_dataset(DatasetSpec(K=8, q=q_true, p1=p1, p2=p2, p3=p3, n=400,
                                                   seed=spawn_seed(5, si, r, 0)))
-                ref = select_dimension(ds.Z, 4, restarts=3, seed=spawn_seed(5, si, r, 1))
+                ref = select_dimension(ds.Z, 8, restarts=3, seed=spawn_seed(5, si, r, 1))
                 got = profiles[2 * si + r]
-                assert len(got.solutions) == len(ref.solutions) == 3
+                assert len(got.solutions) == len(ref.solutions) == p1 + p2 + p3
                 for a, b in zip(got.solutions, ref.solutions):
                     _assert_same_fit(a, b)
                 aris = [adjusted_rand_index(sol.assignment, ds.labels) for sol in ref.solutions]
@@ -522,9 +504,10 @@ class TestAgreementExperiment:
         seen = []
         real = selection.fit_rkm
         monkeypatch.setattr(selection, "fit_rkm", lambda X, cfg: seen.append(cfg) or real(X, cfg))
-        agreement_experiment([(1, 2, 0, 1)], reps=1, n=20, K=2)
+        agreement_experiment([(1, 2, 0, 1)], reps=1)
         rep_seed = spawn_seed(0, 0, 0, 1)
-        assert seen == [SolverConfig(k=2, q=1, restarts=50, seed=spawn_seed(rep_seed, 1))]
+        assert seen == [SolverConfig(k=8, q=q, restarts=50, seed=spawn_seed(rep_seed, q))
+                        for q in (1, 2, 3)]
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_must_be_positive(self, reps):
@@ -535,6 +518,12 @@ class TestAgreementExperiment:
         _forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             agreement_experiment(settings=[(2, 5, 5, 5)], reps=1, restarts=0)
+
+    def test_settings_checked_before_any_dataset(self, monkeypatch):
+        # the second setting has q > p1; nothing is drawn for the first one
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="need 1 <= q <= p1"):
+            agreement_experiment([(1, 2, 0, 1), (3, 2, 0, 1)], reps=1, restarts=1)
 
 
 class TestRateBound:

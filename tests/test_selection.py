@@ -136,9 +136,9 @@ def test_select_dimension_validation():
 def test_zero_noise_vr_vanishes_everywhere():
     # with k centroids and k point-mass clusters, every projection separates
     # perfectly, so the whole VR curve is 0
-    ds = generate_dataset(DatasetSpec(K=4, q=2, p1=3, p2=2, p3=2, n=120,
-                                      seed=0, zero_noise=True))
-    prof = select_dimension(ds.X, 4, restarts=20, seed=0)
+    ds = generate_dataset(DatasetSpec(K=4, q=2, p1=3, p2=2, p3=2, n=120, seed=0))
+    signal = ds.centers_true.values[ds.labels.labels] @ ds.loading_true.values.T
+    prof = select_dimension(DataMatrix(signal), 4, restarts=20, seed=0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in prof.vr.values())
 
 

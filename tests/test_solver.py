@@ -186,6 +186,37 @@ def test_fit_survives_adversarial_k():
     assert sol.loss >= 0.0
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_finalize_with_more_clusters_than_distinct_rows(k, monkeypatch):
+    # three distinct rows and k > 3: equal rows share their argmin center, so
+    # every argmin of the finalize leaves a cluster empty and its fallback
+    # repair sets the labels
+    from rkmeans import _kernels
+
+    repair, finalize = _kernels.repair_empty_clusters, _kernels._finalize_repairs
+    repairs, rounds = [], []
+    monkeypatch.setattr(_kernels, "repair_empty_clusters",
+                        lambda *args: repairs.append(1) or repair(*args))
+
+    def counted(y, f, labels, counts):
+        before = len(repairs)
+        result = finalize(y, f, labels, counts)
+        rounds.append(len(repairs) - before)
+        return result
+
+    monkeypatch.setattr(_kernels, "_finalize_repairs", counted)
+    X = DataMatrix(np.repeat([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]], 4, axis=0))
+    sol = fit_rkm(X, SolverConfig(k=k, q=1, restarts=6, seed=k))
+    assert rounds == [k + 1] * 6, "a restart skipped the fallback"
+    assert np.all(sol.assignment.cluster_sizes() > 0)
+    y = X.values @ sol.loading.values
+    d = np.sum((y[:, None, :] - sol.centroids.values[None, :, :]) ** 2, axis=2)
+    own = d[np.arange(X.n), sol.assignment.labels]
+    assert np.all(own <= d.min(axis=1) + 1e-12)
+    exact = assigned_objective(X, sol.loading, sol.centroids, sol.assignment)
+    assert sol.loss == pytest.approx(exact, rel=1e-12)
+
+
 def test_duplicate_points_reach_closed_form_optimum():
     # with k matching the number of distinct points, the within term vanishes
     # and the optimum is the top eigenvalue residual of the second moment
