@@ -19,14 +19,21 @@ import numpy as np
 
 
 # a batch of restarts is capped so its width x n x k distance block stays
-# about this many doubles: wider batches save little more per-call overhead
-# but raise peak memory
-BATCH_DOUBLES = 1 << 15
+# about this many doubles. A lockstep batch runs until its slowest restart
+# stops, so fewer, wider batches make fewer engine steps, but every per-sweep
+# array grows with the width. Measured at the agreement shape (n = 400, k = 8,
+# 50 restarts): 1 << 17 gives two batches of 25 for about -20% op time and
+# +4% peak RSS over five batches of 10 at 1 << 15; 1 << 18 (one batch of 50)
+# is faster still but costs +10% peak RSS.
+BATCH_DOUBLES = 1 << 17
 
 
 def batch_width(n: int, k: int, restarts: int) -> int:
-    """How many restarts to run in lockstep on an n-row input with k clusters."""
-    return max(1, min(restarts, BATCH_DOUBLES // (n * k)))
+    """How many restarts to run in lockstep on an n-row input with k clusters:
+    the fewest batches the cap allows, with the restarts split evenly over
+    them."""
+    batches = -(-restarts // max(1, BATCH_DOUBLES // (n * k)))
+    return -(-restarts // batches)
 
 
 def sq_distances(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -47,23 +54,30 @@ def _row_sums(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def _distance_block(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _distance_block(
+    y: np.ndarray, centers: np.ndarray, y_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Squared distances (|y|^2 + |c|^2) - 2 y'c clamped at 0, center-major:
-    y (..., n, d) against centers (..., k, d) gives (k, ..., n)."""
+    y (..., n, d) against centers (..., k, d) gives (k, ..., n). y_sq, if
+    given, is _row_sums(y * y) already at hand."""
+    if y_sq is None:
+        y_sq = _row_sums(y * y)  # before d, so the squares are freed first
     d = np.empty((centers.shape[-2], *y.shape[:-1]))
     np.matmul(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
     d *= -2.0
-    y_sq, c_sq = _row_sums(y * y), _row_sums(centers * centers)
+    c_sq = _row_sums(centers * centers)
     for j in range(len(d)):
         d[j] += y_sq + c_sq[..., j, None]
     np.maximum(d, 0.0, out=d)
     return d
 
 
-def _nearest(y: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    y: np.ndarray, centers: np.ndarray, y_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (..., n) and their squared distances, with
     argmin's choice: the first center at the minimum, or a row's first NaN."""
-    d = _distance_block(y, centers)
+    d = _distance_block(y, centers, y_sq)
     low, labels = d[0], np.zeros(d.shape[1:], dtype=np.intp)
     for j in range(1, len(d)):
         # j tops every label so far, so a maximum writes it branch-free; the
@@ -173,11 +187,14 @@ def polar_loading(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarra
 
 def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
     """polar_loading over a stack: labels (w, n), centroids f (w, k, q) give
-    the (w, p, q) loadings. (UF)' is gathered as q rows of n; M = (X'(UF))'
-    sums as the row-major (UF)'X did, where (UF)' @ X would not."""
+    the (w, p, q) loadings. (UF)' is gathered as q rows of n, one coordinate
+    at a time; M = (X'(UF))' sums as the row-major (UF)'X did, where
+    (UF)' @ X would not."""
     w, k, q = f.shape
-    flat = labels[:, None, :] + k * np.arange(w * q).reshape(w, q, 1)
-    gt = np.take(np.swapaxes(f, -1, -2).ravel(), flat)
+    rows, flat = f.reshape(w * k, q), _offset(labels, k).reshape(labels.shape)
+    gt = np.empty((w, q, labels.shape[1]))
+    for c in range(q):
+        np.take(rows[:, c], flat, out=gt[:, c])
     m = np.swapaxes(x.T @ np.swapaxes(gt, -1, -2), -1, -2)
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
@@ -194,11 +211,11 @@ def principal_axes(x: np.ndarray, q: int) -> np.ndarray:
     return vh[:q].T.copy()
 
 
-def _means_step(y: np.ndarray, f: np.ndarray) -> tuple:
-    """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
-    against centers f (w, k, d), which a repair mutates. Returns (cluster
-    means, labels, counts)."""
-    labels = _nearest(y, f)[0]
+def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray) -> tuple:
+    """Assign -> repair -> means for a stack of restarts: scores y (w, n, d),
+    with y_sq = _row_sums(y * y), against centers f (w, k, d), which a repair
+    mutates. Returns (cluster means, labels, counts)."""
+    labels = _nearest(y, f, y_sq)[0]
     counts = _stacked_counts(labels, f.shape[1])
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
         repair_empty_clusters(y[r], f[r], labels[r], counts[r])
@@ -223,7 +240,8 @@ def sweep_restarts(
     assign -> repair -> means step gives the labels, then each sweep refits
     the loading by the polar step before its own means step (reduced
     k-means). ``a = None`` holds the loading at the identity, so y[r] is x
-    and each sweep is a Lloyd step (plain k-means).
+    and each sweep is a Lloyd step (plain k-means). x, y and a are only
+    read; the starting centers f are updated in place by any repair.
 
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
@@ -237,10 +255,13 @@ def sweep_restarts(
     held = a is None
     if held:
         sy = np.full(w, sx)
+        y_sq = _row_sums(y * y)
         y_end = y
     else:
-        f, labels, _ = _means_step(y, f)
-        a_end, y_end = np.empty_like(a), np.empty_like(y)
+        f, labels, _ = _means_step(y, f, _row_sums(y * y))
+        a_end = np.empty_like(a)
+        # every sweep's x @ a goes here, never into the caller's y
+        scores = np.empty_like(y)
     f_end, sy_end = np.empty_like(f), np.empty(w)
     iterations = np.zeros(w, dtype=np.int64)
     traces = [[] for _ in range(w)]
@@ -249,11 +270,14 @@ def sweep_restarts(
     for sweep in range(1, max_iterations + 1):
         if not held:
             a = _stacked_polar(x, labels, f)
-            y = x @ a
+            y = np.matmul(x, a, out=scores[:len(live)])
+            squares = y * y
             # row sums of the flattened squares add in the order np.sum
             # takes over one restart's n x q scores
-            sy = np.sum((y * y).reshape(len(live), -1), axis=-1)
-        f, labels, counts = _means_step(y, f)
+            sy = np.sum(squares.reshape(len(live), -1), axis=-1)
+            y_sq = _row_sums(squares)
+            del squares  # not held through the distance block
+        f, labels, counts = _means_step(y, f, y_sq)
         ff = _row_sums(f * f)
         # one product per restart: a stacked one may sum in another order
         within = np.array([counts[j] @ ff[j] for j in range(len(live))])
@@ -273,13 +297,18 @@ def sweep_restarts(
         done = live[stop]
         f_end[done], sy_end[done], iterations[done] = f[stop], sy[stop], sweep
         if not held:
-            a_end[done], y_end[done] = a[stop], y[stop]
+            a_end[done] = a[stop]
         keep = ~stop
         if not keep.any():
             break
-        live, y, f, labels = live[keep], y[keep], f[keep], labels[keep]
+        live, f, labels = live[keep], f[keep], labels[keep]
         sy, prev = sy[keep], prev[keep]
+        if held:
+            y, y_sq = y[keep], y_sq[keep]
 
+    if not held:
+        # a stacked product gives each restart the bits of its own x @ a
+        y_end = np.matmul(x, a_end, out=scores)
     nearest, low = _nearest(y_end, f_end)
     counts = _stacked_counts(nearest, f_end.shape[1])
     d_sums = low.sum(axis=-1)

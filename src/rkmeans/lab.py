@@ -176,7 +176,7 @@ class ConvergenceReport:
     distances: dict
     vr_values: dict
     population_risks: dict
-    oracle_loss: float | None = None
+    oracle_loss: float
     oracle_vr: float | None = None
     oracle_gap: float = 0.0
 
@@ -191,15 +191,14 @@ class ConvergenceReport:
         for n, vals in self.losses.items():
             if any(v < 0 for v in vals):
                 raise ValueError(f"negative loss recorded at n={n}")
-        if self.oracle_loss is not None:
-            floor = self.oracle_loss - self.oracle_gap - 1e-9
-            for n, vals in self.population_risks.items():
-                bad = [v for v in vals if not math.isnan(v) and v < floor]
-                if bad:
-                    raise ValueError(
-                        f"population risk {min(bad)} at n={n} undercuts the "
-                        f"certified optimum {self.oracle_loss} - gap {self.oracle_gap}"
-                    )
+        floor = self.oracle_loss - self.oracle_gap - 1e-9
+        for n, vals in self.population_risks.items():
+            bad = [v for v in vals if not math.isnan(v) and v < floor]
+            if bad:
+                raise ValueError(
+                    f"population risk {min(bad)} at n={n} undercuts the "
+                    f"certified optimum {self.oracle_loss} - gap {self.oracle_gap}"
+                )
 
     def reps(self, n: int) -> int:
         return len(self.losses[int(n)])

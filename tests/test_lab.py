@@ -276,6 +276,7 @@ class TestConvergenceReport:
             distances={5: (0.0, 0.3)},
             vr_values={5: vr},
             population_risks={5: (0.1, 0.2)},
+            oracle_loss=0.1,
         )
 
     def test_nan_vr_becomes_null_in_json(self):
@@ -294,6 +295,7 @@ class TestConvergenceReport:
                 distances={5: (0.0,)},
                 vr_values={5: (0.5,)},
                 population_risks={5: (0.1,)},
+                oracle_loss=0.1,
             )
 
     def test_negative_loss_rejected(self):
@@ -304,6 +306,7 @@ class TestConvergenceReport:
                 distances={5: (0.0,)},
                 vr_values={5: (0.5,)},
                 population_risks={5: (0.1,)},
+                oracle_loss=0.1,
             )
 
     def test_risk_below_certified_optimum_rejected(self):
@@ -316,6 +319,18 @@ class TestConvergenceReport:
                 population_risks={5: (0.3,)},
                 oracle_loss=0.5,
                 oracle_gap=0.0,
+            )
+
+    def test_oracle_loss_is_required(self):
+        # every report carries the certified optimum its risks are checked
+        # against; there is no unchecked report
+        with pytest.raises(TypeError, match="oracle_loss"):
+            ConvergenceReport(
+                n_grid=(5,),
+                losses={5: (0.1,)},
+                distances={5: (0.0,)},
+                vr_values={5: (0.5,)},
+                population_risks={5: (0.1,)},
             )
 
     def test_csv_round_trip(self, tmp_path):

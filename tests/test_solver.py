@@ -253,11 +253,24 @@ def _small_grid_cases(seed):
             int(rng.integers(1, 6)), int(rng.integers(3, 9))
 
 
+def _batch_starts(held, case, x, k, q, cap, R):
+    """Stacked starts (a, y, f) of R restarts as sweep_restarts takes them:
+    fit_rkm's, or with the loading held, k-means++ centers on x itself."""
+    from rkmeans import _kernels, solver
+    from rkmeans._seeds import spawn_rng
+
+    if held:
+        f0 = np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r)) for r in range(R)])
+        return None, np.repeat(x[None], R, axis=0), f0
+    config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
+    return solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+
+
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
 def test_restart_batches_are_width_invariant(held, monkeypatch):
     # every restart's (loss, A, F, labels, trace, iterations) must not depend
     # on how many restarts share its batch: widths 1, 2 and all of them
-    from rkmeans import _kernels, solver
+    from rkmeans import _kernels
     from rkmeans._seeds import spawn_rng
 
     repair = _kernels.repair_empty_clusters
@@ -266,12 +279,7 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
                         lambda *args: repairs.append(1) or repair(*args))
     for case, x, k, q, cap, R in _small_grid_cases(5 + held):
         sx = float(np.sum(x * x))
-        if held:
-            a0, y0 = None, np.repeat(x[None], R, axis=0)
-            f0 = np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r)) for r in range(R)])
-        else:
-            config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
-            a0, y0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+        a0, y0, f0 = _batch_starts(held, case, x, k, q, cap, R)
         runs = {}
         for width in (1, 2, R):
             results = []
@@ -315,3 +323,59 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
             assert sol.centroids.values.tobytes() == f.tobytes()
             assert np.array_equal(sol.assignment.labels, labels)
     assert ties, "no input had tied restart losses"
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
+def test_sweep_restarts_only_reads_its_data_scores_and_loadings(held):
+    # x, y and a are the caller's: a sweep that wrote x @ a into y, or refit
+    # a loading in place, would corrupt the starts of a caller that slices
+    # several batches out of one stack
+    from rkmeans import _kernels
+
+    for case, x, k, q, cap, R in _small_grid_cases(11 + held):
+        a0, y0, f0 = _batch_starts(held, case, x, k, q, cap, R)
+        before = [v.tobytes() for v in (x, y0, a0) if v is not None]
+        _kernels.sweep_restarts(x, float(np.sum(x * x)), a0, y0, f0, cap, 1e-9)
+        after = [v.tobytes() for v in (x, y0, a0) if v is not None]
+        assert after == before, f"case {case}"
+
+
+def test_batch_width_splits_restarts_evenly_under_the_cap(monkeypatch):
+    # the width never exceeds the cap, the batch count stays the fewest the
+    # cap allows, and no narrower width keeps that count, so the batches come
+    # out about equal
+    from rkmeans import _kernels
+
+    n, k = 7, 3
+    for cap in (*range(1, 30), 49, 50, 64, 100, 199, 200, 500):
+        # a budget just short of the next multiple still means this cap
+        monkeypatch.setattr(_kernels, "BATCH_DOUBLES", cap * n * k + n * k - 1)
+        for R in range(1, 201):
+            width = _kernels.batch_width(n, k, R)
+            assert 1 <= width <= min(cap, R), (cap, R, width)
+            assert -(-R // width) == -(-R // cap), (cap, R, width)
+            assert width == 1 or -(-R // (width - 1)) > -(-R // cap), (cap, R, width)
+            if cap in (1, 2) or cap >= R:
+                assert width == min(cap, R), (cap, R, width)
+    # a budget below one n x k block still runs one restart at a time
+    monkeypatch.setattr(_kernels, "BATCH_DOUBLES", n * k - 1)
+    assert [_kernels.batch_width(n, k, R) for R in (1, 2, 50)] == [1, 1, 1]
+
+
+def test_fit_peak_memory_at_the_agreement_shape():
+    # criterion 7's largest fit: n = 400, p = 15, k = 8, q = 7, 50 restarts.
+    # Wider batches trade memory for speed; this bound keeps a later width
+    # or temporary from raising the peak unnoticed (2.4 MiB when written)
+    import tracemalloc
+
+    from rkmeans import DatasetSpec, generate_dataset
+
+    X = generate_dataset(DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=400, seed=3)).X
+    config = SolverConfig(k=8, q=7, restarts=50, seed=0)
+    tracemalloc.start()
+    try:
+        fit_rkm(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
