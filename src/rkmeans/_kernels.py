@@ -27,6 +27,10 @@ import numpy as np
 # is faster still but costs +10% peak RSS.
 BATCH_DOUBLES = 1 << 17
 
+# a run stops once a sweep lowers its loss by at most this fraction; the
+# reduced and the plain k-means fits stop by the same rule
+REL_TOLERANCE = 1e-9
+
 
 def batch_width(n: int, k: int, restarts: int) -> int:
     """How many restarts to run in lockstep on an n-row input with k clusters:
@@ -213,8 +217,9 @@ def principal_axes(x: np.ndarray, q: int) -> np.ndarray:
 
 def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d),
-    with y_sq = _row_sums(y * y), against centers f (w, k, d), which a repair
-    mutates. Returns (cluster means, labels, counts)."""
+    with y_sq = _row_sums(y * y) (one row of it when the w slices are one
+    array), against centers f (w, k, d), which a repair mutates. Returns
+    (cluster means, labels, counts)."""
     labels = _nearest(y, f, y_sq)[0]
     counts = _stacked_counts(labels, f.shape[1])
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
@@ -223,25 +228,19 @@ def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray) -> tuple:
 
 
 def sweep_restarts(
-    x: np.ndarray,
-    sx: float,
-    a: np.ndarray | None,
-    y: np.ndarray,
-    f: np.ndarray,
-    max_iterations: int,
-    rel_tolerance: float,
+    x: np.ndarray, a: np.ndarray | None, f: np.ndarray, max_iterations: int
 ) -> list:
     """Run a stack of w restarts in lockstep from centers f (w, k, d), each
-    until its loss falls by at most rel_tolerance (relative) or
+    until its loss falls by at most REL_TOLERANCE (relative) or
     max_iterations sweeps have run, then finalize them together.
 
-    x is the data, sx = sum(x * x), and y (w, n, d) the restarts' scores. A
-    loading stack ``a`` (w, p, q) with y[r] = x @ a[r] is free: an
-    assign -> repair -> means step gives the labels, then each sweep refits
-    the loading by the polar step before its own means step (reduced
-    k-means). ``a = None`` holds the loading at the identity, so y[r] is x
-    and each sweep is a Lloyd step (plain k-means). x, y and a are only
-    read; the starting centers f are updated in place by any repair.
+    x is the data. A loading stack ``a`` (w, p, q) is free: an
+    assign -> repair -> means step on the scores x @ a[r] gives the labels,
+    then each sweep refits the loading by the polar step before its own
+    means step (reduced k-means). ``a = None`` holds the loading at the
+    identity, so every restart scores x itself and each sweep is a Lloyd
+    step (plain k-means). x and a are only read; the starting centers f are
+    updated in place by any repair.
 
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
@@ -252,16 +251,19 @@ def sweep_restarts(
     The trace holds each sweep's loss, then the final one.
     """
     n, w = x.shape[0], f.shape[0]
+    sx = float(np.sum(x * x))
     held = a is None
     if held:
-        sy = np.full(w, sx)
-        y_sq = _row_sums(y * y)
-        y_end = y
+        # a zero-stride stack: the restarts share x and never copy it
+        y = y_end = np.broadcast_to(x, (w, *x.shape))
+        sy, y_sq = np.full(w, sx), _row_sums(x * x)
     else:
+        # every x @ a goes here; a stacked product gives each restart the
+        # bits of its own x @ a[r]
+        scores = np.empty((w, n, a.shape[-1]))
+        y = np.matmul(x, a, out=scores)
         f, labels, _ = _means_step(y, f, _row_sums(y * y))
         a_end = np.empty_like(a)
-        # every sweep's x @ a goes here, never into the caller's y
-        scores = np.empty_like(y)
     f_end, sy_end = np.empty_like(f), np.empty(w)
     iterations = np.zeros(w, dtype=np.int64)
     traces = [[] for _ in range(w)]
@@ -287,7 +289,7 @@ def sweep_restarts(
         for r, value in zip(live, loss.tolist()):
             traces[r].append(value)
         stop = np.isfinite(prev) & (
-            prev - loss <= rel_tolerance * np.maximum(np.abs(prev), 1e-300)
+            prev - loss <= REL_TOLERANCE * np.maximum(np.abs(prev), 1e-300)
         )
         if sweep == max_iterations:
             stop[:] = True
@@ -304,10 +306,9 @@ def sweep_restarts(
         live, f, labels = live[keep], f[keep], labels[keep]
         sy, prev = sy[keep], prev[keep]
         if held:
-            y, y_sq = y[keep], y_sq[keep]
+            y = y[:len(live)]
 
     if not held:
-        # a stacked product gives each restart the bits of its own x @ a
         y_end = np.matmul(x, a_end, out=scores)
     nearest, low = _nearest(y_end, f_end)
     counts = _stacked_counts(nearest, f_end.shape[1])
@@ -348,17 +349,12 @@ def _finalize_repairs(
 
 
 def lloyd_single(
-    y: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iterations: int,
-    rel_tolerance: float,
+    y: np.ndarray, k: int, rng: np.random.Generator, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One Lloyd run on raw coordinates y: a k-means++ start, then a width-1
     sweep_restarts with the loading held. Returns (centers, labels, mean
     loss, iterations)."""
     loss, _, centers, labels, _, iterations = sweep_restarts(
-        y, float(np.sum(y * y)), None, y[None], kmeans_pp_init(y, k, rng)[None],
-        max_iterations, rel_tolerance,
+        y, None, kmeans_pp_init(y, k, rng)[None], max_iterations
     )[0]
     return centers, labels, loss, iterations

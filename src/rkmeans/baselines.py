@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from ._seeds import spawn_rng
 from .errors import DegenerateDataError
-from .solver import REL_TOLERANCE, SolverConfig
+from .solver import SolverConfig
 from .types import Assignment, DataMatrix, LoadingMatrix, _frozen_array
 
 
@@ -41,7 +41,7 @@ def kmeans_fit(
     max_iterations: int = 300,
 ) -> KmeansSolution:
     """Best of ``restarts`` Lloyd runs from k-means++ starts, each stopped by
-    the solver's REL_TOLERANCE rule or the iteration cap.
+    fit_rkm's rule (``_kernels.REL_TOLERANCE``) or the iteration cap.
 
     Each restart draws its RNG stream from (seed, restart index), so the
     winner is independent of execution order; loss ties keep the smallest
@@ -54,9 +54,7 @@ def kmeans_fit(
     best = None
     for r in range(restarts):
         rng = spawn_rng(seed, r)
-        centers, labels, loss, _ = _kernels.lloyd_single(
-            y, k, rng, max_iterations, REL_TOLERANCE
-        )
+        centers, labels, loss, _ = _kernels.lloyd_single(y, k, rng, max_iterations)
         if best is None or loss < best[0]:
             best = (loss, centers, labels)
     loss, centers, labels = best

@@ -255,6 +255,8 @@ def population_risk(pop: PopulationSpec, A: LoadingMatrix, F: CentroidSet) -> fl
     of the squared distance to the nearest subspace centroid."""
     if A.p != pop.p:
         raise ValueError(f"loading has p={A.p} but population has p={pop.p}")
+    if A.q != F.q:
+        raise ValueError(f"loading has q={A.q} but centroids have q={F.q}")
     t = pop.atoms @ A.values
     d = t[:, None, :] - F.values[None, :, :]
     nearest = np.sum(d * d, axis=2).min(axis=1)

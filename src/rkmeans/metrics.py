@@ -22,8 +22,11 @@ def adjusted_rand_index(a: Assignment, b: Assignment) -> float:
         raise ValueError(f"label vectors differ in length: {a.n} vs {b.n}")
     if a.n < 2:
         raise ValueError("need at least 2 objects")
-    ka, kb = a.n_clusters, b.n_clusters
-    table = np.bincount(a.labels * kb + b.labels, minlength=ka * kb).reshape(ka, kb)
+    # dense label indices size the table by the labels in use, not the
+    # largest label; the index is invariant to relabeling
+    ia, ib = (np.unique(v.labels, return_inverse=True)[1] for v in (a, b))
+    ka, kb = int(ia.max()) + 1, int(ib.max()) + 1
+    table = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
     # exact integer arithmetic until the final division
     sum_cells = sum(comb(int(c), 2) for c in table.ravel())
     sum_rows = sum(comb(int(c), 2) for c in table.sum(axis=1))

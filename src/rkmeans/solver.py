@@ -8,7 +8,7 @@ One sweep updates, in order:
    followed by empty-cluster repair,
 3. the centroids as cluster means of the projected data XA,
 4. the loss, tracked per sweep; the run stops when its relative decrease
-   falls to REL_TOLERANCE or below.
+   falls to ``_kernels.REL_TOLERANCE`` or below.
 
 Each step minimizes the assigned loss |X - UFA'|^2 / n in its own block, so
 the per-sweep loss trace is non-increasing.
@@ -30,10 +30,6 @@ from .types import (
     _check_assignment,
     _check_shapes,
 )
-
-# a run stops once a sweep lowers its loss by at most this fraction; the
-# Lloyd baseline stops by the same rule
-REL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,15 +112,13 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     """
     config.validate_against(X)
     x = np.asarray(X.values)
-    sx = float(np.sum(x * x))
     pca_a = _kernels.principal_axes(x, config.q)
     width = _kernels.batch_width(x.shape[0], config.k, config.restarts)
     best = None
     for first in range(0, config.restarts, width):
         chunk = range(first, min(first + width, config.restarts))
         results = _kernels.sweep_restarts(
-            x, sx, *_starts(x, config, pca_a, chunk),
-            config.max_iterations, REL_TOLERANCE,
+            x, *_starts(x, config, pca_a, chunk), config.max_iterations
         )
         for r, result in zip(chunk, results):
             if best is None or result[0] < best[0]:
@@ -143,9 +137,11 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
 
 
 def _starts(x: np.ndarray, config: SolverConfig, pca_a: np.ndarray, restarts: range) -> tuple:
-    """Stacked starts (loadings, scores XA, k-means++ centroids) of the given
-    restarts, as sweep_restarts takes them: restart 0 from the principal axes
-    pca_a, later ones from the polar factor of their own stream's Gaussian."""
+    """Stacked starts (loadings, k-means++ centroids) of the given restarts,
+    as sweep_restarts takes them: restart 0 from the principal axes pca_a,
+    later ones from the polar factor of their own stream's Gaussian. The
+    centroids are seeded on the scores XA, which are dropped on return: the
+    engine forms its own."""
     p, k, q = x.shape[1], config.k, config.q
     g = [spawn_rng(config.seed, r, 1).standard_normal((p, q)) if r else pca_a for r in restarts]
     u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
@@ -158,7 +154,7 @@ def _starts(x: np.ndarray, config: SolverConfig, pca_a: np.ndarray, restarts: ra
     # loading draw gets its own stream to keep that alignment
     f0 = np.stack([_kernels.kmeans_pp_init(y0[j], k, spawn_rng(config.seed, r))
                    for j, r in enumerate(restarts)])
-    return a0, y0, f0
+    return a0, f0
 
 
 def project(X: DataMatrix, sol: RkmSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -113,6 +113,22 @@ def test_stacked_polar_is_the_row_major_product_bitwise():
         assert _kernels._stacked_polar(x, labels, f).tobytes() == want.tobytes(), (n, p, q, k)
 
 
+def test_stacked_scores_are_the_per_restart_products_bitwise():
+    # sweep_restarts forms every restart's scores x @ a[r] in one stacked
+    # product written into its own buffer, from the starts' loadings and then
+    # each sweep's; every slice must carry the bits of the lone 2-D product
+    rng = np.random.default_rng(4)
+    for n, p, q, w in [(400, 15, 1, 25), (400, 15, 2, 25), (400, 15, 7, 25), (400, 15, 4, 13),
+                       (50, 2, 1, 20), (200, 2, 1, 20), (800, 2, 1, 20), (3200, 2, 1, 20),
+                       (20000, 15, 2, 1), (7, 4, 4, 3), (331, 10, 3, 6)]:
+        x = rng.standard_normal((n, p))
+        a = rng.standard_normal((w, p, q))
+        scores = np.empty((w + 2, n, q))
+        got = np.matmul(x, a, out=scores[:w])
+        for r in range(w):
+            assert got[r].tobytes() == (x @ a[r]).tobytes(), (n, p, q, w, r)
+
+
 def test_stacked_starts_are_the_per_restart_loop_bitwise():
     rng = np.random.default_rng(3)
     for case in range(40):
@@ -123,7 +139,7 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise():
         config = SolverConfig(k=k, q=q, restarts=first + count, seed=case)
         pca_a = _kernels.principal_axes(x, q)
         restarts = range(first, first + count)
-        a0, y0, f0 = solver._starts(x, config, pca_a, restarts)
+        a0, f0 = solver._starts(x, config, pca_a, restarts)
         for j, r in enumerate(restarts):
             if r == 0:
                 a = pca_a
@@ -131,8 +147,6 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise():
                 u, _, vh = np.linalg.svd(spawn_rng(case, r, 1).standard_normal((p, q)),
                                          full_matrices=False)
                 a = u @ vh
-            y = x @ a
-            f = _kernels.kmeans_pp_init(y, k, spawn_rng(case, r))
+            f = _kernels.kmeans_pp_init(x @ a, k, spawn_rng(case, r))
             assert a0[j].tobytes() == a.tobytes(), f"case {case}, restart {r}"
-            assert y0[j].tobytes() == y.tobytes(), f"case {case}, restart {r}"
             assert f0[j].tobytes() == f.tobytes(), f"case {case}, restart {r}"

@@ -228,6 +228,13 @@ class TestPopulationRisk:
         with pytest.raises(ValueError, match="p=3"):
             population_risk(pop, A3, CentroidSet(np.array([[0.0]])))
 
+    def test_q_mismatch(self):
+        # a 2 x 1 loading against 2-D centroids would broadcast to a number
+        pop = four_atom_pop()
+        A = LoadingMatrix(np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="q=1 but centroids have q=2"):
+            population_risk(pop, A, CentroidSet(np.array([[-1.0, 0.0], [1.0, 0.0]])))
+
     def test_population_vr_is_zero_at_the_optimum(self):
         pop = four_atom_pop()
         opt = oracle_global_min(pop, k=2)

@@ -84,6 +84,23 @@ def test_ari_relabeling_invariance():
     assert again == pytest.approx(base, abs=1e-15)
 
 
+def test_ari_table_is_sized_by_the_labels_in_use():
+    # a truth file's labels need not be dense: one label of 10**6 among 4
+    # objects must not size a table by it
+    import tracemalloc
+
+    x = [0, 1, 1, 2]
+    sparse = Assignment([0, 0, 1, 10**6], 10**6 + 1)
+    tracemalloc.start()
+    try:
+        got = adjusted_rand_index(Assignment(x, 3), sparse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert got == adjusted_rand_index(Assignment(x, 3), Assignment([0, 0, 1, 2], 3))
+
+
 def test_directed_hausdorff_hand_cases():
     F = CentroidSet([[0.0], [3.0]])
     G = CentroidSet([[0.0]])

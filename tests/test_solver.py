@@ -254,14 +254,14 @@ def _small_grid_cases(seed):
 
 
 def _batch_starts(held, case, x, k, q, cap, R):
-    """Stacked starts (a, y, f) of R restarts as sweep_restarts takes them:
+    """Stacked starts (a, f) of R restarts as sweep_restarts takes them:
     fit_rkm's, or with the loading held, k-means++ centers on x itself."""
     from rkmeans import _kernels, solver
     from rkmeans._seeds import spawn_rng
 
     if held:
-        f0 = np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r)) for r in range(R)])
-        return None, np.repeat(x[None], R, axis=0), f0
+        return None, np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r))
+                               for r in range(R)])
     config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
     return solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
 
@@ -278,21 +278,20 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
     monkeypatch.setattr(_kernels, "repair_empty_clusters",
                         lambda *args: repairs.append(1) or repair(*args))
     for case, x, k, q, cap, R in _small_grid_cases(5 + held):
-        sx = float(np.sum(x * x))
-        a0, y0, f0 = _batch_starts(held, case, x, k, q, cap, R)
+        a0, f0 = _batch_starts(held, case, x, k, q, cap, R)
         runs = {}
         for width in (1, 2, R):
             results = []
             for first in range(0, R, width):
                 part = slice(first, first + width)
                 results += _kernels.sweep_restarts(
-                    x, sx, None if held else a0[part], y0[part], f0[part].copy(), cap, 1e-9)
+                    x, None if held else a0[part], f0[part].copy(), cap)
             runs[width] = [_run_bits(result) for result in results]
         assert runs[1] == runs[2] == runs[R], f"case {case}"
         if held:
             for r in range(R):
                 centers, labels, loss, iterations = _kernels.lloyd_single(
-                    x, k, spawn_rng(case, r), cap, 1e-9)
+                    x, k, spawn_rng(case, r), cap)
                 assert runs[1][r][:4] == (repr(loss), None, centers.tobytes(), labels.tobytes())
                 assert runs[1][r][5] == iterations
     assert repairs, "no input exercised the empty-cluster repair"
@@ -307,9 +306,8 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
     for case, x, k, q, cap, R in _small_grid_cases(9):
         X = DataMatrix(x)
         config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
-        a0, y0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
-        lone = [_kernels.sweep_restarts(x, float(np.sum(x * x)), a0[r:r + 1], y0[r:r + 1],
-                                        f0[r:r + 1], cap, 1e-9)[0] for r in range(R)]
+        a0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+        lone = [_kernels.sweep_restarts(x, a0[r:r + 1], f0[r:r + 1], cap)[0] for r in range(R)]
         losses = [result[0] for result in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
@@ -326,17 +324,17 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
-def test_sweep_restarts_only_reads_its_data_scores_and_loadings(held):
-    # x, y and a are the caller's: a sweep that wrote x @ a into y, or refit
-    # a loading in place, would corrupt the starts of a caller that slices
-    # several batches out of one stack
+def test_sweep_restarts_only_reads_its_data_and_loadings(held):
+    # x and a are the caller's: a sweep that wrote its scores into x, or
+    # refit a loading in place, would corrupt the starts of a caller that
+    # slices several batches out of one stack
     from rkmeans import _kernels
 
     for case, x, k, q, cap, R in _small_grid_cases(11 + held):
-        a0, y0, f0 = _batch_starts(held, case, x, k, q, cap, R)
-        before = [v.tobytes() for v in (x, y0, a0) if v is not None]
-        _kernels.sweep_restarts(x, float(np.sum(x * x)), a0, y0, f0, cap, 1e-9)
-        after = [v.tobytes() for v in (x, y0, a0) if v is not None]
+        a0, f0 = _batch_starts(held, case, x, k, q, cap, R)
+        before = [v.tobytes() for v in (x, a0) if v is not None]
+        _kernels.sweep_restarts(x, a0, f0, cap)
+        after = [v.tobytes() for v in (x, a0) if v is not None]
         assert after == before, f"case {case}"
 
 
@@ -365,7 +363,7 @@ def test_batch_width_splits_restarts_evenly_under_the_cap(monkeypatch):
 def test_fit_peak_memory_at_the_agreement_shape():
     # criterion 7's largest fit: n = 400, p = 15, k = 8, q = 7, 50 restarts.
     # Wider batches trade memory for speed; this bound keeps a later width
-    # or temporary from raising the peak unnoticed (2.4 MiB when written)
+    # or temporary from raising the peak unnoticed (1.86 MiB when written)
     import tracemalloc
 
     from rkmeans import DatasetSpec, generate_dataset
@@ -378,4 +376,4 @@ def test_fit_peak_memory_at_the_agreement_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 2.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -43,7 +43,7 @@ def test_every_wrapped_name_resolves():
 def test_lloyd_single_keeps_the_traced_signature():
     # the tracer reads the sweep count from result[3] and the cap from args[3]
     y = np.arange(12.0).reshape(6, 2)
-    result = _kernels.lloyd_single(y, 2, np.random.default_rng(0), 4, 1e-9)
+    result = _kernels.lloyd_single(y, 2, np.random.default_rng(0), 4)
     assert len(result) == 4
     assert isinstance(result[3], int) and 1 <= result[3] <= 4
 
