@@ -228,19 +228,19 @@ def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray) -> tuple:
 
 
 def sweep_restarts(
-    x: np.ndarray, a: np.ndarray | None, f: np.ndarray, max_iterations: int
+    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int
 ) -> list:
-    """Run a stack of w restarts in lockstep from centers f (w, k, d), each
+    """Run a stack of restarts in lockstep, one per generator in rngs, each
     until its loss falls by at most REL_TOLERANCE (relative) or
     max_iterations sweeps have run, then finalize them together.
 
-    x is the data. A loading stack ``a`` (w, p, q) is free: an
-    assign -> repair -> means step on the scores x @ a[r] gives the labels,
-    then each sweep refits the loading by the polar step before its own
-    means step (reduced k-means). ``a = None`` holds the loading at the
-    identity, so every restart scores x itself and each sweep is a Lloyd
-    step (plain k-means). x and a are only read; the starting centers f are
-    updated in place by any repair.
+    x is the data. Restart j starts from kmeans_pp_init(scores, k, rngs[j])
+    on its scores, seeded in restart order. A loading stack ``a`` (w, p, q)
+    is free: the scores are x @ a[j], an assign -> repair -> means step on
+    them gives the labels, then each sweep refits the loading by the polar
+    step before its own means step (reduced k-means). ``a = None`` holds the
+    loading at the identity, so every restart scores x itself and each sweep
+    is a Lloyd step (plain k-means). x and a are only read.
 
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
@@ -250,20 +250,25 @@ def sweep_restarts(
     reports the loss of those labels; at a fixed point it changes nothing.
     The trace holds each sweep's loss, then the final one.
     """
-    n, w = x.shape[0], f.shape[0]
-    sx = float(np.sum(x * x))
+    n, w = x.shape[0], len(rngs)
     held = a is None
+    squares = x * x
+    sx = float(np.sum(squares))
+    y_sq = _row_sums(squares) if held else None
+    del squares  # freed before the scores buffer is taken
     if held:
         # a zero-stride stack: the restarts share x and never copy it
         y = y_end = np.broadcast_to(x, (w, *x.shape))
-        sy, y_sq = np.full(w, sx), _row_sums(x * x)
+        sy = np.full(w, sx)
     else:
         # every x @ a goes here; a stacked product gives each restart the
         # bits of its own x @ a[r]
         scores = np.empty((w, n, a.shape[-1]))
         y = np.matmul(x, a, out=scores)
-        f, labels, _ = _means_step(y, f, _row_sums(y * y))
         a_end = np.empty_like(a)
+    f = np.stack([kmeans_pp_init(y[j], k, rng) for j, rng in enumerate(rngs)])
+    if not held:
+        f, labels, _ = _means_step(y, f, _row_sums(y * y))
     f_end, sy_end = np.empty_like(f), np.empty(w)
     iterations = np.zeros(w, dtype=np.int64)
     traces = [[] for _ in range(w)]
@@ -351,10 +356,10 @@ def _finalize_repairs(
 def lloyd_single(
     y: np.ndarray, k: int, rng: np.random.Generator, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """One Lloyd run on raw coordinates y: a k-means++ start, then a width-1
-    sweep_restarts with the loading held. Returns (centers, labels, mean
-    loss, iterations)."""
+    """One Lloyd run on raw coordinates y from a k-means++ start drawn from
+    rng: a width-1 sweep_restarts with the loading held. Returns (centers,
+    labels, mean loss, iterations)."""
     loss, _, centers, labels, _, iterations = sweep_restarts(
-        y, None, kmeans_pp_init(y, k, rng)[None], max_iterations
+        y, None, k, [rng], max_iterations
     )[0]
     return centers, labels, loss, iterations

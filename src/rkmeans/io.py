@@ -1,7 +1,9 @@
 """File formats and result persistence.
 
-CSV in: a rectangular numeric grid, comma-delimited, with one optional header
-row (auto-detected: a cell of the first non-blank row that float() rejects).
+CSV in: UTF-8 text (whatever the locale; other bytes are a CsvParseError
+naming the file) holding a rectangular numeric grid, comma-delimited, with one
+optional header row (auto-detected: a cell of the first non-blank row that
+float() rejects).
 Blank rows (no cell holds more than whitespace) are skipped. Two readers give
 the same bits. csv.reader finds the first non-blank row and the header test
 runs on it; then numpy's C reader takes the rest of the file as plain lines:
@@ -52,7 +54,7 @@ def _is_header(row) -> bool:
 
 def _open(path):
     try:
-        return open(path, "r", newline="")
+        return open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise CsvParseError(f"no such file: {path}")
 
@@ -138,10 +140,14 @@ def _read_walk(path) -> np.ndarray:
 
 
 def load_csv(path) -> DataMatrix:
-    """Read an n x p numeric matrix, skipping one auto-detected header row."""
-    data = _read_c(path)
-    if data is None:
-        data = _read_walk(path)
+    """Read an n x p numeric matrix from UTF-8 text, skipping one
+    auto-detected header row."""
+    try:
+        data = _read_c(path)
+        if data is None:
+            data = _read_walk(path)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path} is not UTF-8 text: {exc.reason}")
     try:
         return DataMatrix(data)
     except ValueError as exc:

@@ -376,9 +376,15 @@ class AgreementResult:
     variance-ratio selector picked the dimension with the best ARI."""
 
     setting: tuple
-    reps: int
-    hits: int
     picks: tuple  # per rep: (selected q, ARI-optimal q)
+
+    @property
+    def reps(self) -> int:
+        return len(self.picks)
+
+    @property
+    def hits(self) -> int:
+        return sum(selected == best for selected, best in self.picks)
 
     @property
     def rate(self) -> float:
@@ -407,7 +413,6 @@ def agreement_experiment(
              for q_true, p1, p2, p3 in settings]
     results = []
     for si, spec in enumerate(specs):
-        hits = 0
         picks = []
         for r in range(reps):
             ds = generate_dataset(replace(spec, seed=spawn_seed(seed, si, r, 0)))
@@ -419,9 +424,7 @@ def agreement_experiment(
                 if ari > best_ari:
                     best_q, best_ari = q, ari
             picks.append((profile.q_hat, best_q))
-            hits += int(profile.q_hat == best_q)
-        setting = (spec.q, spec.p1, spec.p2, spec.p3)
-        results.append(AgreementResult(setting=setting, reps=reps, hits=hits, picks=tuple(picks)))
+        results.append(AgreementResult((spec.q, spec.p1, spec.p2, spec.p3), tuple(picks)))
     return tuple(results)
 
 

@@ -9,7 +9,7 @@ VR(q_max + 1) = VR(q_max).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,23 +23,21 @@ from .types import DataMatrix, RkmSolution
 class VrProfile:
     """Variance-ratio curve over q = 1..q_max, its second-difference profile,
     and the selected dimension. ``solutions`` keeps the per-q fits so callers
-    can score them without refitting."""
+    can score them without refitting. The profile and the selection are
+    derived from vr."""
 
     k: int
     vr: dict
-    delta2: dict
-    q_hat: int
     solutions: tuple = ()
+    delta2: dict = field(init=False)
+    q_hat: int = field(init=False)
 
     def __post_init__(self):
-        qs = sorted(self.vr)
-        if qs != list(range(1, len(qs) + 1)):
-            raise ValueError("vr must be keyed by consecutive q starting at 1")
         for q, value in self.vr.items():
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"vr[{q}]={value} outside [0, 1]")
-        if self.q_hat not in self.vr:
-            raise ValueError(f"q_hat={self.q_hat} not among profiled dimensions")
+        object.__setattr__(self, "delta2", delta2_profile(self.vr))
+        object.__setattr__(self, "q_hat", argmax_delta2(self.delta2))
 
     @property
     def q_max(self) -> int:
@@ -77,6 +75,8 @@ def delta2_profile(vr: dict) -> dict:
     missing = [q for q in range(1, q_max + 1) if q not in vr]
     if missing:
         raise ValueError(f"vr is missing values for q={missing}")
+    if len(vr) > q_max:
+        raise ValueError(f"vr keys must be q = 1..{q_max}, got {sorted(vr)}")
     ext = {0: 0.0, q_max + 1: float(vr[q_max])}
     ext.update({q: float(vr[q]) for q in range(1, q_max + 1)})
     return {q: ext[q + 1] - 2.0 * ext[q] + ext[q - 1] for q in range(1, q_max + 1)}
@@ -120,11 +120,4 @@ def select_dimension(
         sol = fit_rkm(X, SolverConfig(k, q, restarts, seed=spawn_seed(seed, q)))
         vr[q] = vr_hat(X, sol)
         solutions.append(sol)
-    delta2 = delta2_profile(vr)
-    return VrProfile(
-        k=k,
-        vr=vr,
-        delta2=delta2,
-        q_hat=argmax_delta2(delta2),
-        solutions=tuple(solutions),
-    )
+    return VrProfile(k=k, vr=vr, solutions=tuple(solutions))

@@ -117,8 +117,12 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     best = None
     for first in range(0, config.restarts, width):
         chunk = range(first, min(first + width, config.restarts))
+        # the centroid-seeding stream matches the plain k-means baseline so
+        # the two solvers are restart-for-restart comparable when q == p;
+        # the loading draw gets its own stream to keep that alignment
         results = _kernels.sweep_restarts(
-            x, *_starts(x, config, pca_a, chunk), config.max_iterations
+            x, _starts(config, pca_a, chunk), config.k,
+            [spawn_rng(config.seed, r) for r in chunk], config.max_iterations,
         )
         for r, result in zip(chunk, results):
             if best is None or result[0] < best[0]:
@@ -136,25 +140,17 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     )
 
 
-def _starts(x: np.ndarray, config: SolverConfig, pca_a: np.ndarray, restarts: range) -> tuple:
-    """Stacked starts (loadings, k-means++ centroids) of the given restarts,
-    as sweep_restarts takes them: restart 0 from the principal axes pca_a,
-    later ones from the polar factor of their own stream's Gaussian. The
-    centroids are seeded on the scores XA, which are dropped on return: the
-    engine forms its own."""
-    p, k, q = x.shape[1], config.k, config.q
-    g = [spawn_rng(config.seed, r, 1).standard_normal((p, q)) if r else pca_a for r in restarts]
+def _starts(config: SolverConfig, pca_a: np.ndarray, restarts: range) -> np.ndarray:
+    """Stacked starting loadings of the given restarts: restart 0 from the
+    principal axes pca_a, later ones from the polar factor of their own
+    stream's Gaussian."""
+    g = [spawn_rng(config.seed, r, 1).standard_normal(pca_a.shape) if r else pca_a
+         for r in restarts]
     u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
     a0 = u @ vh
     if restarts[0] == 0:
         a0[0] = pca_a  # its slot in the stacked SVD only held a place
-    y0 = x @ a0
-    # the centroid-seeding stream matches the plain k-means baseline so the
-    # two solvers are restart-for-restart comparable when q == p; the
-    # loading draw gets its own stream to keep that alignment
-    f0 = np.stack([_kernels.kmeans_pp_init(y0[j], k, spawn_rng(config.seed, r))
-                   for j, r in enumerate(restarts)])
-    return a0, f0
+    return a0
 
 
 def project(X: DataMatrix, sol: RkmSolution) -> tuple[np.ndarray, np.ndarray]:

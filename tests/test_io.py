@@ -1,12 +1,16 @@
 """CSV parsing, matrix payloads, and the versioned result document."""
 import csv
 import io
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import rkmeans
 from rkmeans import (
     CsvParseError,
     DataMatrix,
@@ -53,6 +57,25 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvParseError, match="no such file"):
             load_csv(tmp_path / "nope.csv")
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        # a Latin-1 byte is a parse error of the file, not a bare codec error
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n3,\xe9\n")
+        with pytest.raises(CsvParseError, match="latin1.csv is not UTF-8 text"):
+            load_csv(path)
+
+    def test_decoding_does_not_follow_the_locale(self, tmp_path):
+        # under an ASCII locale a UTF-8 header still reads as a header
+        path = tmp_path / "accent.csv"
+        path.write_bytes("caf\u00e9,b\n1,2\n".encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(rkmeans.__file__))
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=src)
+        code = "import sys, rkmeans; print(rkmeans.load_csv(sys.argv[1]).values.tolist())"
+        run = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "[[1.0, 2.0]]\n"), run.stderr
 
     def test_ragged_row_reports_position(self, tmp_path):
         with pytest.raises(CsvParseError, match=r"expected 2 columns.*\(row 2\)"):

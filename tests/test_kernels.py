@@ -129,7 +129,17 @@ def test_stacked_scores_are_the_per_restart_products_bitwise():
             assert got[r].tobytes() == (x @ a[r]).tobytes(), (n, p, q, w, r)
 
 
-def test_stacked_starts_are_the_per_restart_loop_bitwise():
+def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
+    # the starts' stacked SVD gives each restart the loading of its own, and
+    # the engine seeds each restart's centers on its own x @ a
+    seed_centers = _kernels.kmeans_pp_init
+    seeded = []
+
+    def recording(y, k, rng):
+        seeded.append(seed_centers(y, k, rng))
+        return seeded[-1]
+
+    monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     rng = np.random.default_rng(3)
     for case in range(40):
         n, p = int(rng.integers(2, 120)), int(rng.integers(1, 9))
@@ -139,7 +149,10 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise():
         config = SolverConfig(k=k, q=q, restarts=first + count, seed=case)
         pca_a = _kernels.principal_axes(x, q)
         restarts = range(first, first + count)
-        a0, f0 = solver._starts(x, config, pca_a, restarts)
+        a0 = solver._starts(config, pca_a, restarts)
+        seeded.clear()
+        _kernels.sweep_restarts(x, a0, k, [spawn_rng(case, r) for r in restarts], 1)
+        assert len(seeded) == count, f"case {case}"
         for j, r in enumerate(restarts):
             if r == 0:
                 a = pca_a
@@ -147,6 +160,6 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise():
                 u, _, vh = np.linalg.svd(spawn_rng(case, r, 1).standard_normal((p, q)),
                                          full_matrices=False)
                 a = u @ vh
-            f = _kernels.kmeans_pp_init(x @ a, k, spawn_rng(case, r))
+            f = seed_centers(x @ a, k, spawn_rng(case, r))
             assert a0[j].tobytes() == a.tobytes(), f"case {case}, restart {r}"
-            assert f0[j].tobytes() == f.tobytes(), f"case {case}, restart {r}"
+            assert seeded[j].tobytes() == f.tobytes(), f"case {case}, restart {r}"

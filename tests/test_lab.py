@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from rkmeans import (
+    AgreementResult,
     CentroidSet,
     ConvergenceReport,
     DataMatrix,
@@ -486,6 +487,15 @@ class TestAgreementExperiment:
         for q_hat, q_best in res.picks:
             assert 1 <= q_hat <= 7
             assert 1 <= q_best <= 7
+
+    def test_counts_come_from_the_picks(self):
+        # reps and hits are the picks' count and agreements, so a result
+        # cannot claim more hits than reps
+        res = AgreementResult((2, 5, 5, 5), ((1, 2), (2, 2), (3, 3)))
+        assert (res.reps, res.hits, res.rate) == (3, 2, 2 / 3)
+        assert type(res.hits) is int
+        with pytest.raises(TypeError):
+            AgreementResult((2, 5, 5, 5), reps=5, hits=9, picks=((1, 2),))
 
     def test_reruns_are_deterministic(self):
         kwargs = dict(

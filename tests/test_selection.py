@@ -116,13 +116,18 @@ def test_argmax_ties_prefer_smallest_q():
 
 def test_vr_profile_validation():
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={2: 0.5}, delta2={2: 0.0}, q_hat=2)
+        VrProfile(k=3, vr={2: 0.5})
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={1: 1.5}, delta2={1: 0.0}, q_hat=1)
+        VrProfile(k=3, vr={0: 0.1, 1: 0.5})
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={1: 0.5}, delta2={1: 0.0}, q_hat=2)
-    prof = VrProfile(k=3, vr={1: 0.5, 2: 0.7}, delta2={1: 0.0, 2: -0.1}, q_hat=1)
+        VrProfile(k=3, vr={1: 1.5})
+    # the profile and the selection come from vr, so none can contradict it
+    with pytest.raises(TypeError):
+        VrProfile(k=3, vr={1: 0.5, 2: 0.7}, delta2={1: 0.0, 2: -0.1}, q_hat=1)
+    prof = VrProfile(k=3, vr={1: 0.5, 2: 0.7})
     assert prof.q_max == 2
+    assert prof.delta2 == delta2_profile({1: 0.5, 2: 0.7})
+    assert prof.q_hat == 2
 
 
 def test_select_dimension_validation():

@@ -253,17 +253,22 @@ def _small_grid_cases(seed):
             int(rng.integers(1, 6)), int(rng.integers(3, 9))
 
 
-def _batch_starts(held, case, x, k, q, cap, R):
-    """Stacked starts (a, f) of R restarts as sweep_restarts takes them:
-    fit_rkm's, or with the loading held, k-means++ centers on x itself."""
+def _batch_loadings(held, case, x, k, q, cap, R):
+    """The stacked starting loadings of R restarts as fit_rkm builds them,
+    or None to hold the loading."""
     from rkmeans import _kernels, solver
-    from rkmeans._seeds import spawn_rng
 
     if held:
-        return None, np.stack([_kernels.kmeans_pp_init(x, k, spawn_rng(case, r))
-                               for r in range(R)])
+        return None
     config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
-    return solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
+    return solver._starts(config, _kernels.principal_axes(x, q), range(R))
+
+
+def _seeding_streams(case, R):
+    """Restart r's k-means++ stream, as both solvers draw it."""
+    from rkmeans._seeds import spawn_rng
+
+    return [spawn_rng(case, r) for r in range(R)]
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
@@ -278,14 +283,14 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
     monkeypatch.setattr(_kernels, "repair_empty_clusters",
                         lambda *args: repairs.append(1) or repair(*args))
     for case, x, k, q, cap, R in _small_grid_cases(5 + held):
-        a0, f0 = _batch_starts(held, case, x, k, q, cap, R)
+        a0 = _batch_loadings(held, case, x, k, q, cap, R)
         runs = {}
         for width in (1, 2, R):
-            results = []
+            results, rngs = [], _seeding_streams(case, R)
             for first in range(0, R, width):
                 part = slice(first, first + width)
                 results += _kernels.sweep_restarts(
-                    x, None if held else a0[part], f0[part].copy(), cap)
+                    x, None if held else a0[part], k, rngs[part], cap)
             runs[width] = [_run_bits(result) for result in results]
         assert runs[1] == runs[2] == runs[R], f"case {case}"
         if held:
@@ -306,8 +311,9 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
     for case, x, k, q, cap, R in _small_grid_cases(9):
         X = DataMatrix(x)
         config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
-        a0, f0 = solver._starts(x, config, _kernels.principal_axes(x, q), range(R))
-        lone = [_kernels.sweep_restarts(x, a0[r:r + 1], f0[r:r + 1], cap)[0] for r in range(R)]
+        a0 = solver._starts(config, _kernels.principal_axes(x, q), range(R))
+        lone = [_kernels.sweep_restarts(x, a0[r:r + 1], k, [rng], cap)[0]
+                for r, rng in enumerate(_seeding_streams(case, R))]
         losses = [result[0] for result in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
@@ -325,17 +331,51 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
 
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
 def test_sweep_restarts_only_reads_its_data_and_loadings(held):
-    # x and a are the caller's: a sweep that wrote its scores into x, or
-    # refit a loading in place, would corrupt the starts of a caller that
-    # slices several batches out of one stack
+    # x and a are the caller's, and the engine's only array inputs: a sweep
+    # that wrote its scores into x, or refit a loading in place, would
+    # corrupt the starts of a caller that slices several batches out of one
+    # stack
     from rkmeans import _kernels
 
     for case, x, k, q, cap, R in _small_grid_cases(11 + held):
-        a0, f0 = _batch_starts(held, case, x, k, q, cap, R)
+        a0 = _batch_loadings(held, case, x, k, q, cap, R)
         before = [v.tobytes() for v in (x, a0) if v is not None]
-        _kernels.sweep_restarts(x, a0, f0, cap)
+        _kernels.sweep_restarts(x, a0, k, _seeding_streams(case, R), cap)
         after = [v.tobytes() for v in (x, a0) if v is not None]
         assert after == before, f"case {case}"
+
+
+def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
+    # fit_rkm and kmeans_fit seed restart r's k-means++ from a fresh
+    # spawn_rng(seed, r), once per restart and in restart order, across
+    # batches too: the two solvers stay restart-for-restart comparable, and
+    # a tracer can read each seeding as a restart boundary
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_rng
+
+    def stream(rng):
+        state = rng.bit_generator.state["state"]  # Philox: key and counter
+        return state["key"].tolist(), state["counter"].tolist()
+
+    seed_centers = _kernels.kmeans_pp_init
+    seen = []
+
+    def recording(y, k, rng):
+        seen.append(stream(rng))
+        return seed_centers(y, k, rng)
+
+    monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
+    n, k, R, seed = 30, 3, 7, 11
+    X = DataMatrix(np.random.default_rng(4).standard_normal((n, 3)))
+    want = [stream(spawn_rng(seed, r)) for r in range(R)]
+    for width in (1, 3, R):
+        monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * n * k)
+        seen.clear()
+        fit_rkm(X, SolverConfig(k=k, q=2, restarts=R, seed=seed))
+        assert seen == want, f"fit_rkm, width {width}"
+    seen.clear()
+    kmeans_fit(X, k, restarts=R, seed=seed)
+    assert seen == want, "kmeans_fit"
 
 
 def test_batch_width_splits_restarts_evenly_under_the_cap(monkeypatch):
