@@ -43,8 +43,6 @@ from .solver import (
     assign_clusters,
     fit_rkm,
     project,
-    update_centroids,
-    update_loading,
 )
 from .types import (
     ORTHONORMALITY_TOL,
@@ -106,8 +104,6 @@ __all__ = [
     "select_dimension",
     "symmetric_hausdorff",
     "tandem_fit",
-    "update_centroids",
-    "update_loading",
     "vr_hat",
     "write_labels_csv",
     "write_matrix_csv",

@@ -31,6 +31,9 @@ BATCH_DOUBLES = 1 << 17
 # reduced and the plain k-means fits stop by the same rule
 REL_TOLERANCE = 1e-9
 
+# the sweep cap of plain k-means, and SolverConfig's default for reduced k-means
+MAX_ITERATIONS = 300
+
 
 def batch_width(n: int, k: int, restarts: int) -> int:
     """How many restarts to run in lockstep on an n-row input with k clusters:
@@ -183,17 +186,12 @@ def repair_empty_clusters(
         centers[j] = y[i]
 
 
-def polar_loading(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Loss-minimizing loading for fixed labels and centroids: the polar
-    factor PQ' of the SVD QSP' of M = (UF)'X."""
-    return _stacked_polar(x, labels[None], f[None])[0]
-
-
 def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """polar_loading over a stack: labels (w, n), centroids f (w, k, q) give
-    the (w, p, q) loadings. (UF)' is gathered as q rows of n, one coordinate
-    at a time; M = (X'(UF))' sums as the row-major (UF)'X did, where
-    (UF)' @ X would not."""
+    """Loss-minimizing loadings for fixed labels and centroids: the polar
+    factor PQ' of the SVD QSP' of M = (UF)'X, over a stack: labels (w, n),
+    centroids f (w, k, q) give the (w, p, q) loadings. (UF)' is gathered as
+    q rows of n, one coordinate at a time; M = (X'(UF))' sums as the
+    row-major (UF)'X did, where (UF)' @ X would not."""
     w, k, q = f.shape
     rows, flat = f.reshape(w * k, q), _offset(labels, k).reshape(labels.shape)
     gt = np.empty((w, q, labels.shape[1]))

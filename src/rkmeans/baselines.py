@@ -38,23 +38,22 @@ def kmeans_fit(
     k: int,
     restarts: int = 30,
     seed: int = 0,
-    max_iterations: int = 300,
 ) -> KmeansSolution:
     """Best of ``restarts`` Lloyd runs from k-means++ starts, each stopped by
-    fit_rkm's rule (``_kernels.REL_TOLERANCE``) or the iteration cap.
+    fit_rkm's rule (``_kernels.REL_TOLERANCE``) or after
+    ``_kernels.MAX_ITERATIONS`` sweeps.
 
     Each restart draws its RNG stream from (seed, restart index), so the
     winner is independent of execution order; loss ties keep the smallest
     restart index.
     """
     k = int(k)
-    SolverConfig(k=k, q=X.p, restarts=restarts, max_iterations=max_iterations,
-                 seed=seed).validate_against(X)
+    SolverConfig(k=k, q=X.p, restarts=restarts, seed=seed).validate_against(X)
     y = np.asarray(X.values)
     best = None
     for r in range(restarts):
         rng = spawn_rng(seed, r)
-        centers, labels, loss, _ = _kernels.lloyd_single(y, k, rng, max_iterations)
+        centers, labels, loss, _ = _kernels.lloyd_single(y, k, rng, _kernels.MAX_ITERATIONS)
         if best is None or loss < best[0]:
             best = (loss, centers, labels)
     loss, centers, labels = best

@@ -1,19 +1,19 @@
 """File formats and result persistence.
 
-CSV in: UTF-8 text (whatever the locale; other bytes are a CsvParseError
-naming the file) holding a rectangular numeric grid, comma-delimited, with one
-optional header row (auto-detected: a cell of the first non-blank row that
-float() rejects).
+CSV in: UTF-8 text (whatever the locale; a leading byte-order mark is dropped,
+and other bytes are a CsvParseError naming the file) holding a rectangular
+numeric grid, comma-delimited, with one optional header row (auto-detected: a
+cell of the first non-blank row that float() rejects).
 Blank rows (no cell holds more than whitespace) are skipped. Two readers give
 the same bits. csv.reader finds the first non-blank row and the header test
 runs on it; then numpy's C reader takes the rest of the file as plain lines:
 unquoted cells numpy reads as numbers, the same cell count on every line, and
 no line to skip but empty ones. A file numpy refuses -- quotes, whitespace-only
-or comma-only rows, ragged rows, bad cells, ``1_0``, a BOM, the separators
-\\x1c-\\x1f, a header with no data, a cell over csv's field limit in a row
-the header test reads -- goes to the csv.reader walk, which parses each cell
-with float(). Only the walk reports parse failures, naming the 1-based line
-of the file and the column.
+or comma-only rows, ragged rows, bad cells, ``1_0``, a BOM in a cell, the
+separators \\x1c-\\x1f, a header with no data, a cell over csv's field limit
+in a row the header test reads -- goes to the csv.reader walk, which parses
+each cell with float(). Only the walk reports parse failures, naming the
+1-based line of the file and the column.
 
 CSV out: csv's excel dialect bytes (``\\r\\n`` line ends), no header on a
 matrix and the header ``label`` on a label column; a matrix cell is the
@@ -54,7 +54,7 @@ def _is_header(row) -> bool:
 
 def _open(path):
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise CsvParseError(f"no such file: {path}")
 

@@ -77,13 +77,9 @@ def param_distance(
     """
     f1, a1 = theta1
     f2, a2 = theta2
-    if a1.p != a2.p or a1.q != a2.q:
-        raise ValueError(
-            f"loading shapes differ: {a1.p}x{a1.q} vs {a2.p}x{a2.q}"
-        )
+    r = align_rotation(a1, a2)  # raises first on differing loading shapes
     if f1.q != a1.q or f2.q != a2.q:
         raise ValueError("centroids and loadings disagree on dimension")
-    r = align_rotation(a1, a2)
     d_load = float(np.linalg.norm(a1.values @ r - a2.values))
     d_cent = symmetric_hausdorff(CentroidSet(f1.values @ r), f2)
     return max(d_load, d_cent)

