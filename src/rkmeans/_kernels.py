@@ -15,6 +15,8 @@ order, minima are exact in any order, and ``_nearest`` keeps argmin's choice.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -250,6 +252,12 @@ def sweep_restarts(
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
+    # data whose squares would overflow or go subnormal runs at a power-of-two
+    # scale, which every step carries exactly, and its results are scaled back
+    top = float(np.max(np.abs(x)))
+    e = 0 if 2.0**-60 <= top <= 2.0**60 else math.frexp(top)[1]
+    if e:
+        x = np.ldexp(x, -e)
     squares = x * x
     sx = float(np.sum(squares))
     y_sq = _row_sums(squares) if held else None
@@ -323,6 +331,15 @@ def sweep_restarts(
     loss = np.maximum((sx - sy_end + d_sums) / n, 0.0).tolist()
     for r in range(w):
         traces[r].append(loss[r])
+    if e:
+        f_end = np.ldexp(f_end, e)
+        try:
+            traces = [[math.ldexp(v, 2 * e) for v in trace] for trace in traces]
+        except OverflowError:
+            raise ValueError(
+                f"the loss overflows a double (the data reach {top!r})"
+            ) from None
+        loss = [trace[-1] for trace in traces]
     return [
         (loss[r], None if held else a_end[r], f_end[r], labels[r], traces[r], int(iterations[r]))
         for r in range(w)

@@ -28,7 +28,7 @@ class KmeansSolution:
         centers = _frozen_array(self.centers)
         if centers.ndim != 2:
             raise ValueError(f"centers must be 2-D, got shape {centers.shape}")
-        if self.loss < 0:
+        if not self.loss >= 0:
             raise ValueError(f"loss must be nonnegative, got {self.loss}")
         object.__setattr__(self, "centers", centers)
 

@@ -119,11 +119,6 @@ def _data_rows(path) -> list:
     return rows
 
 
-def _data_line(path, index: int) -> int:
-    """1-based file line on which data row ``index`` starts. Error paths only."""
-    return _data_rows(path)[index][0]
-
-
 def _read_walk(path) -> np.ndarray:
     rows = _data_rows(path)
     width = len(rows[0][1])
@@ -164,11 +159,11 @@ def load_labels_csv(path) -> Assignment:
     fractional = np.flatnonzero(labels != values)
     if fractional.size:
         raise CsvParseError("labels must be integers",
-                            row=_data_line(path, fractional[0]), column=1)
+                            row=_data_rows(path)[fractional[0]][0], column=1)
     negative = np.flatnonzero(labels < 0)
     if negative.size:
         raise CsvParseError("labels must be >= 0",
-                            row=_data_line(path, negative[0]), column=1)
+                            row=_data_rows(path)[negative[0]][0], column=1)
     return Assignment(labels, int(labels.max()) + 1)
 
 
@@ -224,11 +219,10 @@ class ResultDocument:
     solution: dict | None = None
     metrics: dict | None = None
     timing: dict = field(default_factory=dict, compare=False)
-    schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "solution": self.solution,
@@ -237,23 +231,6 @@ class ResultDocument:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultDocument":
-        payload = json.loads(text)
-        return cls(
-            command=payload["command"],
-            config=payload["config"],
-            solution=payload.get("solution"),
-            metrics=payload.get("metrics"),
-            timing=payload.get("timing") or {},
-            schema_version=payload["schema_version"],
-        )
-
     def write(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json())
-
-    @classmethod
-    def read(cls, path) -> "ResultDocument":
-        with open(path, "r") as fh:
-            return cls.from_json(fh.read())

@@ -119,7 +119,9 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     ts = np.take_along_axis(t, order, axis=1)
     ws = weights[order]
     del t, order  # free the unsorted grid before the DP's temporaries
-    within = _grouped_1d_kmeans_loss(ts, ws, k)
+    # the exact 1-D loss at every angle at once, per unit weight
+    prefix = weighted_prefix_sums(ts, ws)
+    within = kmeans_1d_dp(prefix, k)[0] / prefix[0][:, -1]
 
     sq_norms = float(weights @ np.sum(atoms * atoms, axis=1))
     proj_var = (ws * ts * ts).sum(axis=1)
@@ -138,20 +140,6 @@ def oracle_global_min(target, k: int) -> OracleSolution:
         angle=theta,
         grid_gap=gap,
     )
-
-
-def _grouped_1d_kmeans_loss(ts: np.ndarray, ws: np.ndarray, k: int) -> np.ndarray:
-    """Exact 1-D k-means loss for every row of ts at once (the DP of
-    kmeans_1d_exact, batched across rows).
-
-    Each row must be sorted; ws holds the matching weights. Returns the
-    weighted within-cluster SSE divided by the row weight total.
-    """
-    prefix = weighted_prefix_sums(ts, ws)
-    sse, _ = kmeans_1d_dp(prefix, k)
-    totals = prefix[0][:, -1].copy()
-    totals[totals <= 0] = 1.0
-    return sse / totals
 
 
 # the per-rep records of a ConvergenceReport: (field, label in the summary
@@ -278,17 +266,12 @@ def _population_vr(pop: PopulationSpec, opt: OracleSolution) -> float:
 
 
 def check_distinctness(pop: PopulationSpec, k: int) -> tuple:
-    """Oracle losses for 1..k clusters; raises unless strictly decreasing.
+    """Oracle solutions for 1..k clusters; raises unless their losses
+    strictly decrease.
 
     A population whose optimal loss does not strictly improve with every
     added cluster violates the premise of the consistency statements.
     """
-    return tuple(opt.loss for opt in _distinct_optima(pop, k))
-
-
-def _distinct_optima(pop: PopulationSpec, k: int) -> tuple:
-    """check_distinctness, returning the oracle solutions for 1..k clusters,
-    so a caller that needs the k-cluster optimum does not solve it again."""
     k = int(k)
     if not 1 <= k <= pop.m:
         raise ValueError(f"need 1 <= k <= {pop.m} points, got k={k}")
@@ -335,7 +318,7 @@ def consistency_experiment(
             raise ValueError(f"n_grid repeats the sample size n={n}")
     if pop.p != 2 or q != 1:
         raise ValueError(f"the oracle needs p=2, q=1, got p={pop.p}, q={q}")
-    optimum = _distinct_optima(pop, k)[-1]
+    optimum = check_distinctness(pop, k)[-1]
     oracle_vr = None
     try:
         oracle_vr = _population_vr(pop, optimum)

@@ -154,7 +154,7 @@ class RkmSolution:
     sweep_losses: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.loss < 0:
+        if not self.loss >= 0:
             raise ValueError(f"loss must be nonnegative, got {self.loss}")
         if self.loading.q != self.centroids.q:
             raise ValueError("loading and centroids disagree on subspace dimension")

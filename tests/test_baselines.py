@@ -74,8 +74,9 @@ def test_kmeans_rejects_bad_arguments():
         kmeans_fit(X, 4)  # k > n
     with pytest.raises(ValueError):
         kmeans_fit(X, 2, restarts=0)
-    with pytest.raises(ValueError):
-        KmeansSolution(np.zeros((2, 1)), Assignment([0, 1], 2), loss=-0.1)
+    for loss in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            KmeansSolution(np.zeros((2, 1)), Assignment([0, 1], 2), loss=loss)
 
 
 def _brute_force_kmeans(pts: np.ndarray, k: int) -> float:

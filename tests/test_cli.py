@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rkmeans import ResultDocument, load_csv, write_labels_csv, write_matrix_csv
+from rkmeans import load_csv, write_labels_csv, write_matrix_csv
 from rkmeans.cli import main
 
 
@@ -36,16 +36,16 @@ class TestFit:
     def test_writes_result_document(self, blob_dir, tmp_path):
         out = tmp_path / "fit.json"
         assert main(blob_args(blob_dir, "--output", str(out))) == 0
-        doc = ResultDocument.read(out)
-        assert doc.command == "fit"
-        assert doc.config["clusters"] == 2
-        assert doc.config["dims"] == 1
-        assert len(doc.solution["labels"]) == 24
-        assert doc.solution["loss"] >= 0.0
-        assert doc.solution["loading"]["rows"] == 2
-        assert doc.solution["loading"]["cols"] == 1
-        assert doc.solution["centroids"]["rows"] == 2
-        assert doc.timing["seconds"] > 0.0
+        doc = json.loads(out.read_text())
+        assert doc["command"] == "fit"
+        assert doc["config"]["clusters"] == 2
+        assert doc["config"]["dims"] == 1
+        assert len(doc["solution"]["labels"]) == 24
+        assert doc["solution"]["loss"] >= 0.0
+        assert doc["solution"]["loading"]["rows"] == 2
+        assert doc["solution"]["loading"]["cols"] == 1
+        assert doc["solution"]["centroids"]["rows"] == 2
+        assert doc["timing"]["seconds"] > 0.0
 
     def test_stdout_when_no_output(self, blob_dir, capsys):
         assert main(blob_args(blob_dir)) == 0
@@ -62,7 +62,6 @@ class TestFit:
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(blob_args(blob_dir, "--output", str(out1))) == 0
         assert main(blob_args(blob_dir, "--output", str(out2))) == 0
-        assert ResultDocument.read(out1) == ResultDocument.read(out2)
         d1, d2 = (json.loads(p.read_text()) for p in (out1, out2))
         d1.pop("timing"), d2.pop("timing")
         assert d1 == d2
@@ -109,6 +108,17 @@ class TestOtherSolvers:
         assert payload["metrics"]["ari"] == 1.0
         assert payload["solution"]["centers"]["rows"] == 2
         assert payload["solution"]["centers"]["cols"] == 2
+
+    def test_kmeans_past_the_range_of_the_squares(self, blob_dir, tmp_path, capsys):
+        # x * x overflows at this scale; the loss itself is a finite double
+        path = tmp_path / "big.csv"
+        write_matrix_csv(path, load_csv(blob_dir / "blobs.csv").values * 1e153)
+        args = ["kmeans", "--input", str(path), "--clusters", "2", "--restarts", "5",
+                "--truth", str(blob_dir / "blobs.labels.csv")]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert math.isfinite(payload["solution"]["loss"])
+        assert payload["metrics"]["ari"] == 1.0
 
     def test_tandem_command(self, blob_dir, capsys):
         args = ["tandem", "--input", str(blob_dir / "blobs.csv"), "--clusters", "2",
@@ -346,10 +356,10 @@ class TestRateBound:
         args = ["rate-bound", "--n", "100000", "--clusters", "2", "--p", "3",
                 "--radius", "1", "--epsilon", "1", "--output", str(out)]
         assert main(args) == 0
-        doc = ResultDocument.read(out)
-        assert doc.command == "rate-bound"
-        assert 0.0 <= doc.solution["bound"] <= 1.0
-        assert doc.solution["raw"] < 1.0
+        doc = json.loads(out.read_text())
+        assert doc["command"] == "rate-bound"
+        assert 0.0 <= doc["solution"]["bound"] <= 1.0
+        assert doc["solution"]["raw"] < 1.0
 
     def test_precondition_violation_is_a_data_error(self, capsys):
         args = ["rate-bound", "--n", "2", "--clusters", "1", "--p", "1",
@@ -416,6 +426,15 @@ class TestExitCodes:
                 "--clusters", "30", "--dims", "1"]
         assert main(args) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_loss_past_the_largest_double(self, blob_dir, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        write_matrix_csv(path, load_csv(blob_dir / "blobs.csv").values * 1e160)
+        for command in (["kmeans"], ["fit", "--dims", "1"]):
+            args = [*command, "--input", str(path), "--clusters", "2", "--restarts", "2"]
+            assert main(args) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: the loss overflows a double"), err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,7 +41,7 @@ from rkmeans import (
 from rkmeans import lab, selection
 from rkmeans._seeds import spawn_rng, spawn_seed
 from rkmeans.baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
-from rkmeans.lab import _grouped_1d_kmeans_loss, _population_vr
+from rkmeans.lab import _population_vr
 
 
 def _assert_same_fit(a, b):
@@ -154,7 +154,8 @@ class TestOracle:
         ts = np.take_along_axis(t, order, axis=1)
         ws = weights[order]
         for k in range(1, 5):
-            batched = _grouped_1d_kmeans_loss(ts, ws, k)
+            prefix = weighted_prefix_sums(ts, ws)
+            batched = kmeans_1d_dp(prefix, k)[0] / prefix[0][:, -1]
             for g in range(len(angles)):
                 exact = kmeans_1d_exact(ts[g], k, weights=ws[g]).loss
                 assert batched[g] == pytest.approx(exact, rel=1e-10, abs=1e-12)
@@ -258,7 +259,7 @@ class TestCheckDistinctness:
     def test_strictly_decreasing_losses_pass(self):
         # k=1 loss is E||x||^2 = 1.01 at every angle (projections are
         # symmetric about 0), k=2 drops to the 0.01 residual
-        losses = check_distinctness(four_atom_pop(), k=2)
+        losses = [opt.loss for opt in check_distinctness(four_atom_pop(), k=2)]
         assert losses[0] == pytest.approx(1.01, rel=1e-12)
         assert losses[1] == pytest.approx(0.01, rel=1e-12)
 

@@ -433,3 +433,37 @@ def test_fit_peak_memory_at_the_agreement_shape():
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.fixture(scope="module")
+def scale_data():
+    from rkmeans import DatasetSpec, generate_dataset
+
+    z = generate_dataset(DatasetSpec(K=4, q=2, p1=2, p2=5, p3=5, n=300, seed=0)).Z.values
+    rkm = fit_rkm(DataMatrix(z), SolverConfig(k=4, q=2, restarts=5))
+    km = kmeans_fit(DataMatrix(z), 4, restarts=5)
+    return np.asarray(z), rkm, km
+
+
+@pytest.mark.parametrize("scale, rel", [
+    (2.0**510, 0.0),  # every step carries a power of two exactly
+    (1e153, 1e-12),  # x * x overflows
+    (1e-160, 1e-4),  # x * x is subnormal, and so is the loss
+], ids=["2**510", "1e153", "1e-160"])
+def test_both_solvers_fit_data_past_the_range_of_its_squares(scale_data, scale, rel):
+    z, rkm, km = scale_data
+    X = DataMatrix(z * scale)
+    scaled_km = kmeans_fit(X, 4, restarts=5)
+    for base, sol in [(rkm, fit_rkm(X, SolverConfig(k=4, q=2, restarts=5))), (km, scaled_km)]:
+        assert np.array_equal(sol.assignment.labels, base.assignment.labels)
+        assert sol.loss == pytest.approx(base.loss * scale * scale, rel=rel, abs=0.0)
+    if not rel:
+        assert np.array_equal(scaled_km.centers, km.centers * scale)
+
+
+def test_a_loss_past_the_largest_double_is_a_named_error(scale_data):
+    X = DataMatrix(scale_data[0] * 1e160)
+    with pytest.raises(ValueError, match="loss overflows a double"):
+        fit_rkm(X, SolverConfig(k=4, q=2, restarts=2))
+    with pytest.raises(ValueError, match="loss overflows a double"):
+        kmeans_fit(X, 4, restarts=2)

@@ -118,6 +118,7 @@ def test_traced_consistency_op_solves_each_oracle_once(tmp_path):
         tracer.uninstall()
     assert rc == 0
     assert tracer.calls["lab.consistency_experiment"] == 1
+    assert tracer.calls["lab.check_distinctness"] == 1
     assert tracer.calls["lab.oracle_global_min"] == 2
     assert tracer.calls["baselines.kmeans_1d_exact"] == 2
     assert tracer.self_s["lab.oracle_global_min"] > 0

@@ -84,8 +84,9 @@ def test_rkm_solution_invariants():
     U = Assignment([0, 1], 2)
     sol = RkmSolution(A, F, U, loss=0.5, iterations=3, restart_index=0, seed=7)
     assert sol.sweep_losses == ()
-    with pytest.raises(ValueError):
-        RkmSolution(A, F, U, loss=-1e-9, iterations=1, restart_index=0, seed=0)
+    for loss in (-1e-9, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RkmSolution(A, F, U, loss=loss, iterations=1, restart_index=0, seed=0)
     with pytest.raises(ValueError):
         RkmSolution(A, CentroidSet([[1.0, 0.0]]), U, loss=0.0,
                     iterations=1, restart_index=0, seed=0)
