@@ -33,8 +33,27 @@ BATCH_DOUBLES = 1 << 17
 # reduced and the plain k-means fits stop by the same rule
 REL_TOLERANCE = 1e-9
 
-# the sweep cap of plain k-means, and SolverConfig's default for reduced k-means
+# the sweep cap of every fit, plain and reduced k-means alike
 MAX_ITERATIONS = 300
+
+
+def in_range(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2^-e, e): data whose squares would overflow or go subnormal (max
+    |x| outside [2^-60, 2^60]) comes back with max |x| in [0.5, 1), other
+    data as x itself with e = 0. Every step on the result carries 2^-e exactly."""
+    top = float(np.max(np.abs(x)))
+    e = 0 if 2.0**-60 <= top <= 2.0**60 else math.frexp(top)[1]
+    return (np.ldexp(x, -e) if e else x), e
+
+
+def scaled_loss(loss: float, e: int, x: np.ndarray) -> float:
+    """loss * 4^e: the loss of the data 2^e * x, from the loss of the data x
+    that in_range returned; one past the largest double is a ValueError."""
+    try:
+        return math.ldexp(loss, 2 * e)
+    except OverflowError:
+        top = math.ldexp(float(np.max(np.abs(x))), e)
+        raise ValueError(f"the loss overflows a double (the data reach {top!r})") from None
 
 
 def batch_width(n: int, k: int, restarts: int) -> int:
@@ -205,9 +224,10 @@ def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarr
 
 
 def principal_axes(x: np.ndarray, q: int) -> np.ndarray:
-    """Top-q principal directions of the column-centered x as p x q columns.
-    With fewer than q rows the thin SVD has too few directions, so the full
-    SVD's remaining basis pads them."""
+    """Top-q principal directions of the column-centered x as p x q columns,
+    taken at in_range's scale. With fewer than q rows the thin SVD has too
+    few directions, so the full SVD's remaining basis pads them."""
+    x = in_range(x)[0]
     xc = x - x.mean(axis=0)
     _, _, vh = np.linalg.svd(xc, full_matrices=False)
     if vh.shape[0] < q:
@@ -244,20 +264,16 @@ def sweep_restarts(
 
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
-    Returns one (loss, a, f, labels, trace, iterations) per restart.
+    Returns one (a, f, labels, trace) per restart. The trace holds each
+    sweep's loss, then the final one: the loss of the finalized labels.
     Finalizing sets the labels to the nearest-center argmin for (a, f), ties
-    to the smallest index, repairs any cluster that leaves empty, and
-    reports the loss of those labels; at a fixed point it changes nothing.
-    The trace holds each sweep's loss, then the final one.
+    to the smallest index, and repairs any cluster that leaves empty; at a
+    fixed point it changes nothing. The engine runs on in_range's scale of
+    x and scales f and the trace back.
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
-    # data whose squares would overflow or go subnormal runs at a power-of-two
-    # scale, which every step carries exactly, and its results are scaled back
-    top = float(np.max(np.abs(x)))
-    e = 0 if 2.0**-60 <= top <= 2.0**60 else math.frexp(top)[1]
-    if e:
-        x = np.ldexp(x, -e)
+    x, e = in_range(x)
     squares = x * x
     sx = float(np.sum(squares))
     y_sq = _row_sums(squares) if held else None
@@ -276,7 +292,6 @@ def sweep_restarts(
     if not held:
         f, labels, _ = _means_step(y, f, _row_sums(y * y))
     f_end, sy_end = np.empty_like(f), np.empty(w)
-    iterations = np.zeros(w, dtype=np.int64)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
     prev = np.full(w, np.inf)
@@ -308,7 +323,7 @@ def sweep_restarts(
         if not stop.any():
             continue
         done = live[stop]
-        f_end[done], sy_end[done], iterations[done] = f[stop], sy[stop], sweep
+        f_end[done], sy_end[done] = f[stop], sy[stop]
         if not held:
             a_end[done] = a[stop]
         keep = ~stop
@@ -333,17 +348,8 @@ def sweep_restarts(
         traces[r].append(loss[r])
     if e:
         f_end = np.ldexp(f_end, e)
-        try:
-            traces = [[math.ldexp(v, 2 * e) for v in trace] for trace in traces]
-        except OverflowError:
-            raise ValueError(
-                f"the loss overflows a double (the data reach {top!r})"
-            ) from None
-        loss = [trace[-1] for trace in traces]
-    return [
-        (loss[r], None if held else a_end[r], f_end[r], labels[r], traces[r], int(iterations[r]))
-        for r in range(w)
-    ]
+        traces = [[scaled_loss(v, e, x) for v in trace] for trace in traces]
+    return [(None if held else a_end[r], f_end[r], labels[r], traces[r]) for r in range(w)]
 
 
 def _finalize_repairs(
@@ -374,7 +380,5 @@ def lloyd_single(
     """One Lloyd run on raw coordinates y from a k-means++ start drawn from
     rng: a width-1 sweep_restarts with the loading held. Returns (centers,
     labels, mean loss, iterations)."""
-    loss, _, centers, labels, _, iterations = sweep_restarts(
-        y, None, k, [rng], max_iterations
-    )[0]
-    return centers, labels, loss, iterations
+    _, centers, labels, trace = sweep_restarts(y, None, k, [rng], max_iterations)[0]
+    return centers, labels, trace[-1], len(trace) - 1

@@ -75,14 +75,17 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Certified near-global optimum from the angle-grid search: the best
-    grid loss is within grid_gap of the true global optimum."""
+    """Certified near-global optimum from the angle-grid search, along the unit
+    direction at angle: the loss is within grid_gap of the true global optimum."""
 
     loss: float
-    loading: LoadingMatrix
     centroids: CentroidSet
     angle: float
     grid_gap: float
+
+    @property
+    def loading(self) -> LoadingMatrix:
+        return LoadingMatrix(np.array([[math.cos(self.angle)], [math.sin(self.angle)]]))
 
 
 def _as_atoms(target) -> tuple[np.ndarray, np.ndarray]:
@@ -128,16 +131,13 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     losses = (sq_norms - proj_var) + within
     g_best = int(losses.argmin())
 
-    theta = float(angles[g_best])
-    direction = np.array([[math.cos(theta)], [math.sin(theta)]])
     km = kmeans_1d_exact(ts[g_best], k, weights=ws[g_best])
     radius = float(np.sqrt(np.sum(atoms * atoms, axis=1).max()))
     gap = 2.0 * radius * radius * np.pi / ANGLE_GRID
     return OracleSolution(
         loss=float(losses[g_best]),
-        loading=LoadingMatrix(direction),
         centroids=CentroidSet(km.centers),
-        angle=theta,
+        angle=float(angles[g_best]),
         grid_gap=gap,
     )
 
@@ -417,7 +417,10 @@ class RateBound:
     and its clamp to the probability range."""
 
     raw: float
-    bound: float
+
+    @property
+    def bound(self) -> float:
+        return min(1.0, self.raw)
 
 
 def rate_bound(n: int, k: int, p: int, B: float, epsilon: float) -> RateBound:
@@ -439,4 +442,4 @@ def rate_bound(n: int, k: int, p: int, B: float, epsilon: float) -> RateBound:
         - n * epsilon * epsilon / (512.0 * B * B)
     )
     raw = math.exp(log_raw) if log_raw < 700 else math.inf
-    return RateBound(raw=raw, bound=min(1.0, raw))
+    return RateBound(raw=raw)

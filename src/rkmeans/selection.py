@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from ._seeds import spawn_seed
 from .errors import DegenerateDataError
 from .solver import SolverConfig, fit_rkm
@@ -26,7 +27,6 @@ class VrProfile:
     can score them without refitting. The profile and the selection are
     derived from vr."""
 
-    k: int
     vr: dict
     solutions: tuple = ()
     delta2: dict = field(init=False)
@@ -47,11 +47,13 @@ class VrProfile:
 def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
     """Projected within-cluster SSE over projected total SSE about the
     projected sample mean. Both sums use the same normalization, so the
-    ratio is scale- and normalization-free."""
+    ratio is scale- and normalization-free, and it is taken at
+    ``_kernels.in_range``'s scale of X and the centroids."""
     if sol.loading.p != X.p:
         raise ValueError(f"solution has p={sol.loading.p} but data has p={X.p}")
-    y = X.values @ sol.loading.values
-    d = y[:, None, :] - sol.centroids.values[None, :, :]
+    x, e = _kernels.in_range(X.values)
+    y = x @ sol.loading.values
+    d = y[:, None, :] - np.ldexp(sol.centroids.values, -e)[None, :, :]
     within = float(np.sum(d * d, axis=2).min(axis=1).sum())
     centered = y - y.mean(axis=0)
     total = float(np.sum(centered * centered))
@@ -120,4 +122,4 @@ def select_dimension(
         sol = fit_rkm(X, SolverConfig(k, q, restarts, seed=spawn_seed(seed, q)))
         vr[q] = vr_hat(X, sol)
         solutions.append(sol)
-    return VrProfile(k=k, vr=vr, solutions=tuple(solutions))
+    return VrProfile(vr=vr, solutions=tuple(solutions))

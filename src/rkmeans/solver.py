@@ -34,12 +34,11 @@ from .types import (
 @dataclass(frozen=True)
 class SolverConfig:
     """Fit-time knobs: cluster count k, subspace dimension q, restart budget,
-    iteration cap, and master seed."""
+    and master seed."""
 
     k: int
     q: int
     restarts: int = 30
-    max_iterations: int = _kernels.MAX_ITERATIONS
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +48,11 @@ class SolverConfig:
             raise ValueError("q must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+
+    @property
+    def max_iterations(self) -> int:
+        """The sweep cap of every restart, ``_kernels.MAX_ITERATIONS``."""
+        return _kernels.MAX_ITERATIONS
 
     def validate_against(self, X: DataMatrix) -> None:
         if self.q > X.p:
@@ -98,19 +100,17 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
             x, _starts(config, pca_a, chunk), config.k,
             [spawn_rng(config.seed, r) for r in chunk], config.max_iterations,
         )
-        for r, result in zip(chunk, results):
-            if best is None or result[0] < best[0]:
-                best = result + (r,)
-    loss, a, f, labels, trace, iterations, r = best
+        for r, (a, f, labels, trace) in zip(chunk, results):
+            # a restart's loss is the last entry of its trace
+            if best is None or trace[-1] < best[-1][-1]:
+                best = (r, a, f, labels, trace)
+    r, a, f, labels, trace = best
     return RkmSolution(
         loading=LoadingMatrix(a),
         centroids=CentroidSet(f),
         assignment=Assignment(labels, config.k),
-        loss=loss,
-        iterations=iterations,
         restart_index=r,
-        seed=config.seed,
-        sweep_losses=tuple(trace),
+        sweep_losses=trace,
     )
 
 

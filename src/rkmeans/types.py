@@ -139,25 +139,33 @@ class Assignment:
 class RkmSolution:
     """One fitted reduced k-means model.
 
-    ``loss`` is the mean-per-object objective of (loading, centroids) on the
-    training data; ``sweep_losses`` is the per-sweep loss trace of the winning
-    restart (diagnostics for monotonicity checks).
+    ``sweep_losses`` is the winning restart's loss after each sweep, then its
+    final loss: ``loss``, the mean-per-object objective of (loading,
+    centroids) on the training data. ``iterations`` counts the sweeps.
     """
 
     loading: LoadingMatrix
     centroids: CentroidSet
     assignment: Assignment
-    loss: float
-    iterations: int
     restart_index: int
-    seed: int
-    sweep_losses: tuple = field(default=(), repr=False)
+    sweep_losses: tuple = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sweep_losses", tuple(self.sweep_losses))
+        if not self.sweep_losses:
+            raise ValueError("sweep_losses must hold at least the final loss")
         if not self.loss >= 0:
             raise ValueError(f"loss must be nonnegative, got {self.loss}")
         if self.loading.q != self.centroids.q:
             raise ValueError("loading and centroids disagree on subspace dimension")
+
+    @property
+    def loss(self) -> float:
+        return self.sweep_losses[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sweep_losses) - 1
 
 
 def _check_shapes(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> None:
@@ -172,14 +180,15 @@ def rkm_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> float:
 
     Because A is column-orthonormal the residual splits into an orthogonal
     part and a projected part, so the minimum over centroids is taken on the
-    q-dimensional projections.
+    q-dimensional projections. The sums run at ``_kernels.in_range``'s scale
+    of X, so a loss past the largest double is a ValueError.
     """
     _check_shapes(X, A, F)
-    x = X.values
+    x, e = _kernels.in_range(X.values)
     y = x @ A.values
     ortho = np.sum(x * x) - np.sum(y * y)
-    d = _kernels.sq_distances(y, F.values)
-    return float((ortho + np.sum(d.min(axis=1))) / X.n)
+    d = _kernels.sq_distances(y, np.ldexp(F.values, -e))
+    return _kernels.scaled_loss(float((ortho + np.sum(d.min(axis=1))) / X.n), e, x)
 
 
 def assigned_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet, U: Assignment) -> float:

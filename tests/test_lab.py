@@ -49,7 +49,7 @@ def _assert_same_fit(a, b):
     assert np.array_equal(a.loading.values, b.loading.values)
     assert np.array_equal(a.centroids.values, b.centroids.values)
     assert np.array_equal(a.assignment.labels, b.assignment.labels)
-    assert (a.iterations, a.restart_index, a.seed) == (b.iterations, b.restart_index, b.seed)
+    assert (a.sweep_losses, a.restart_index) == (b.sweep_losses, b.restart_index)
 
 
 def four_atom_pop() -> PopulationSpec:
@@ -246,9 +246,8 @@ class TestPopulationRisk:
         pop = PopulationSpec(np.array([[0.0, 1.0], [0.0, 2.0]]), [0.5, 0.5])
         fake = OracleSolution(
             loss=0.0,
-            loading=LoadingMatrix(np.array([[1.0], [0.0]])),
             centroids=CentroidSet(np.array([[0.0]])),
-            angle=0.0,
+            angle=0.0,  # the loading [[1], [0]]
             grid_gap=0.0,
         )
         with pytest.raises(DegenerateDataError, match="single point"):

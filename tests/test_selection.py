@@ -28,10 +28,8 @@ def _solution(A, F, labels, k):
         loading=LoadingMatrix(A),
         centroids=CentroidSet(F),
         assignment=Assignment(labels, k),
-        loss=0.0,
-        iterations=1,
         restart_index=0,
-        seed=0,
+        sweep_losses=(0.0,),
     )
 
 
@@ -116,15 +114,15 @@ def test_argmax_ties_prefer_smallest_q():
 
 def test_vr_profile_validation():
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={2: 0.5})
+        VrProfile(vr={2: 0.5})
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={0: 0.1, 1: 0.5})
+        VrProfile(vr={0: 0.1, 1: 0.5})
     with pytest.raises(ValueError):
-        VrProfile(k=3, vr={1: 1.5})
+        VrProfile(vr={1: 1.5})
     # the profile and the selection come from vr, so none can contradict it
     with pytest.raises(TypeError):
-        VrProfile(k=3, vr={1: 0.5, 2: 0.7}, delta2={1: 0.0, 2: -0.1}, q_hat=1)
-    prof = VrProfile(k=3, vr={1: 0.5, 2: 0.7})
+        VrProfile(vr={1: 0.5, 2: 0.7}, delta2={1: 0.0, 2: -0.1}, q_hat=1)
+    prof = VrProfile(vr={1: 0.5, 2: 0.7})
     assert prof.q_max == 2
     assert prof.delta2 == delta2_profile({1: 0.5, 2: 0.7})
     assert prof.q_hat == 2
@@ -193,7 +191,7 @@ def _assert_same_fit(a, b):
     assert np.array_equal(a.loading.values, b.loading.values)
     assert np.array_equal(a.centroids.values, b.centroids.values)
     assert np.array_equal(a.assignment.labels, b.assignment.labels)
-    assert (a.iterations, a.restart_index, a.seed) == (b.iterations, b.restart_index, b.seed)
+    assert (a.sweep_losses, a.restart_index) == (b.sweep_losses, b.restart_index)
 
 
 def test_select_dimension_seeds_each_q_from_seed_and_q():

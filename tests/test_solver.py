@@ -15,6 +15,7 @@ from rkmeans import (
     kmeans_fit,
     project,
     rkm_objective,
+    vr_hat,
 )
 
 
@@ -110,8 +111,8 @@ def test_solver_config_validation():
         SolverConfig(k=2, q=0)
     with pytest.raises(ValueError):
         SolverConfig(k=2, q=1, restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(k=2, q=1, max_iterations=0)
+    with pytest.raises(TypeError):  # every fit runs to _kernels.MAX_ITERATIONS
+        SolverConfig(k=2, q=1, max_iterations=5)
     cfg = SolverConfig(k=5, q=3)
     with pytest.raises(ValueError):
         cfg.validate_against(DataMatrix(np.ones((4, 3))))  # k > n
@@ -251,9 +252,8 @@ def test_origin_line_duplicates_are_lossless():
 
 
 def _run_bits(result):
-    loss, a, f, labels, trace, iterations = result
-    return (repr(loss), None if a is None else a.tobytes(), f.tobytes(), labels.tobytes(),
-            repr(trace), iterations)
+    a, f, labels, trace = result
+    return (None if a is None else a.tobytes(), f.tobytes(), labels.tobytes(), repr(trace))
 
 
 def _small_grid_cases(seed):
@@ -269,14 +269,14 @@ def _small_grid_cases(seed):
             int(rng.integers(1, 6)), int(rng.integers(3, 9))
 
 
-def _batch_loadings(held, case, x, k, q, cap, R):
+def _batch_loadings(held, case, x, k, q, R):
     """The stacked starting loadings of R restarts as fit_rkm builds them,
     or None to hold the loading."""
     from rkmeans import _kernels, solver
 
     if held:
         return None
-    config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
+    config = SolverConfig(k=k, q=q, restarts=R, seed=case)
     return solver._starts(config, _kernels.principal_axes(x, q), range(R))
 
 
@@ -289,8 +289,8 @@ def _seeding_streams(case, R):
 
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
 def test_restart_batches_are_width_invariant(held, monkeypatch):
-    # every restart's (loss, A, F, labels, trace, iterations) must not depend
-    # on how many restarts share its batch: widths 1, 2 and all of them
+    # every restart's (A, F, labels, trace) must not depend on how many
+    # restarts share its batch: widths 1, 2 and all of them
     from rkmeans import _kernels
     from rkmeans._seeds import spawn_rng
 
@@ -299,7 +299,7 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
     monkeypatch.setattr(_kernels, "repair_empty_clusters",
                         lambda *args: repairs.append(1) or repair(*args))
     for case, x, k, q, cap, R in _small_grid_cases(5 + held):
-        a0 = _batch_loadings(held, case, x, k, q, cap, R)
+        a0 = _batch_loadings(held, case, x, k, q, R)
         runs = {}
         for width in (1, 2, R):
             results, rngs = [], _seeding_streams(case, R)
@@ -310,11 +310,11 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
             runs[width] = [_run_bits(result) for result in results]
         assert runs[1] == runs[2] == runs[R], f"case {case}"
         if held:
-            for r in range(R):
+            for r, (_, _, _, trace) in enumerate(results):
                 centers, labels, loss, iterations = _kernels.lloyd_single(
                     x, k, spawn_rng(case, r), cap)
-                assert runs[1][r][:4] == (repr(loss), None, centers.tobytes(), labels.tobytes())
-                assert runs[1][r][5] == iterations
+                assert runs[1][r][:3] == (None, centers.tobytes(), labels.tobytes())
+                assert (repr(loss), iterations) == (repr(trace[-1]), len(trace) - 1)
     assert repairs, "no input exercised the empty-cluster repair"
 
 
@@ -326,19 +326,21 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
     ties = 0
     for case, x, k, q, cap, R in _small_grid_cases(9):
         X = DataMatrix(x)
-        config = SolverConfig(k=k, q=q, restarts=R, max_iterations=cap, seed=case)
+        config = SolverConfig(k=k, q=q, restarts=R, seed=case)
+        monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
         a0 = solver._starts(config, _kernels.principal_axes(x, q), range(R))
         lone = [_kernels.sweep_restarts(x, a0[r:r + 1], k, [rng], cap)[0]
                 for r, rng in enumerate(_seeding_streams(case, R))]
-        losses = [result[0] for result in lone]
+        losses = [trace[-1] for _, _, _, trace in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
-        loss, a, f, labels, trace, iterations = lone[best]
+        a, f, labels, trace = lone[best]
         for width in (1, 2, R):
             monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
             sol = fit_rkm(X, config)
             assert (sol.restart_index, repr(sol.loss), sol.sweep_losses, sol.iterations) == \
-                (best, repr(loss), tuple(trace), iterations), f"case {case}, width {width}"
+                (best, repr(trace[-1]), tuple(trace), len(trace) - 1), \
+                f"case {case}, width {width}"
             assert sol.loading.values.tobytes() == a.tobytes()
             assert sol.centroids.values.tobytes() == f.tobytes()
             assert np.array_equal(sol.assignment.labels, labels)
@@ -354,7 +356,7 @@ def test_sweep_restarts_only_reads_its_data_and_loadings(held):
     from rkmeans import _kernels
 
     for case, x, k, q, cap, R in _small_grid_cases(11 + held):
-        a0 = _batch_loadings(held, case, x, k, q, cap, R)
+        a0 = _batch_loadings(held, case, x, k, q, R)
         before = [v.tobytes() for v in (x, a0) if v is not None]
         _kernels.sweep_restarts(x, a0, k, _seeding_streams(case, R), cap)
         after = [v.tobytes() for v in (x, a0) if v is not None]
@@ -447,23 +449,37 @@ def scale_data():
 
 @pytest.mark.parametrize("scale, rel", [
     (2.0**510, 0.0),  # every step carries a power of two exactly
+    (2.0**-510, 0.0),
     (1e153, 1e-12),  # x * x overflows
     (1e-160, 1e-4),  # x * x is subnormal, and so is the loss
-], ids=["2**510", "1e153", "1e-160"])
+], ids=["2**510", "2**-510", "1e153", "1e-160"])
 def test_both_solvers_fit_data_past_the_range_of_its_squares(scale_data, scale, rel):
     z, rkm, km = scale_data
     X = DataMatrix(z * scale)
+    scaled_rkm = fit_rkm(X, SolverConfig(k=4, q=2, restarts=5))
     scaled_km = kmeans_fit(X, 4, restarts=5)
-    for base, sol in [(rkm, fit_rkm(X, SolverConfig(k=4, q=2, restarts=5))), (km, scaled_km)]:
+    for base, sol in [(rkm, scaled_rkm), (km, scaled_km)]:
         assert np.array_equal(sol.assignment.labels, base.assignment.labels)
         assert sol.loss == pytest.approx(base.loss * scale * scale, rel=rel, abs=0.0)
+    # the objective and the variance ratio run at the engine's scale too
+    unscaled = rkm_objective(DataMatrix(z), rkm.loading, rkm.centroids)
+    assert rkm_objective(X, scaled_rkm.loading, scaled_rkm.centroids) == \
+        pytest.approx(unscaled * scale * scale, rel=rel, abs=0.0)
+    assert vr_hat(X, scaled_rkm) == pytest.approx(vr_hat(DataMatrix(z), rkm), rel=rel, abs=0.0)
     if not rel:
         assert np.array_equal(scaled_km.centers, km.centers * scale)
+        # restart 0's principal axes, too
+        assert scaled_rkm.loading.values.tobytes() == rkm.loading.values.tobytes()
 
 
 def test_a_loss_past_the_largest_double_is_a_named_error(scale_data):
-    X = DataMatrix(scale_data[0] * 1e160)
-    with pytest.raises(ValueError, match="loss overflows a double"):
-        fit_rkm(X, SolverConfig(k=4, q=2, restarts=2))
-    with pytest.raises(ValueError, match="loss overflows a double"):
-        kmeans_fit(X, 4, restarts=2)
+    z, rkm, _ = scale_data
+    # at 1e307 a column sum overflows too, in restart 0's principal axes
+    for scale in (1e160, 1e307):
+        X = DataMatrix(z * scale)
+        with pytest.raises(ValueError, match="loss overflows a double"):
+            fit_rkm(X, SolverConfig(k=4, q=2, restarts=2))
+        with pytest.raises(ValueError, match="loss overflows a double"):
+            kmeans_fit(X, 4, restarts=2)
+        with pytest.raises(ValueError, match="loss overflows a double"):
+            rkm_objective(X, rkm.loading, CentroidSet(rkm.centroids.values * scale))

@@ -66,6 +66,7 @@ def test_traced_fits_keep_the_hooks_firing():
         tracer.uninstall()
     assert tracer.calls["solver.fit_rkm"] == 1
     assert tracer.counters["solver.restarts"] == 7
+    assert tracer._fit_cap == _kernels.MAX_ITERATIONS
     assert tracer.calls["kernels.kmeans_pp_init"] == 7 + 4
     assert tracer.calls["kernels.lloyd_single"] == 4
     assert tracer.counters["kernels.lloyd_single.sweeps"] >= 4

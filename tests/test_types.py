@@ -82,14 +82,20 @@ def test_rkm_solution_invariants():
     A = LoadingMatrix(np.eye(2, 1))
     F = CentroidSet([[1.0], [-1.0]])
     U = Assignment([0, 1], 2)
-    sol = RkmSolution(A, F, U, loss=0.5, iterations=3, restart_index=0, seed=7)
-    assert sol.sweep_losses == ()
+    # the loss and the sweep count are read off the trace, so neither can
+    # disagree with it
+    sol = RkmSolution(A, F, U, restart_index=0, sweep_losses=[9.0, 0.7, 0.5, 0.5])
+    assert (sol.loss, sol.iterations, sol.sweep_losses) == (0.5, 3, (9.0, 0.7, 0.5, 0.5))
+    for field in ("loss", "iterations", "seed"):
+        with pytest.raises(TypeError):
+            RkmSolution(A, F, U, restart_index=0, sweep_losses=(0.5,), **{field: 0})
+    with pytest.raises(ValueError, match="at least the final loss"):
+        RkmSolution(A, F, U, restart_index=0, sweep_losses=())
     for loss in (-1e-9, float("nan")):
         with pytest.raises(ValueError, match="nonnegative"):
-            RkmSolution(A, F, U, loss=loss, iterations=1, restart_index=0, seed=0)
+            RkmSolution(A, F, U, restart_index=0, sweep_losses=(1.0, loss))
     with pytest.raises(ValueError):
-        RkmSolution(A, CentroidSet([[1.0, 0.0]]), U, loss=0.0,
-                    iterations=1, restart_index=0, seed=0)
+        RkmSolution(A, CentroidSet([[1.0, 0.0]]), U, restart_index=0, sweep_losses=(0.0,))
 
 
 # hand instance: X = [[2,0],[0,3]], A = e1, F = {+1,-1} in the 1-D subspace.

@@ -43,6 +43,11 @@ COMMANDS = [
     ("fit-q-over-p", "fit --input small.csv --clusters 3 --dims 9"),
     ("fit-missing-file", "fit --input missing.csv --clusters 2 --dims 1"),
     ("fit-short-truth", "fit --input data.csv --clusters 8 --dims 2 --truth short.labels.csv"),
+    ("fit-quoted-csv", "fit --input quoted.csv --clusters 2 --dims 1 --restarts 2"),
+    ("fit-ragged-csv", "fit --input ragged.csv --clusters 2 --dims 1"),
+    ("fit-bad-cell", "fit --input badcell.csv --clusters 2 --dims 1"),
+    ("fit-fractional-truth", "fit --input quoted.csv --clusters 2 --dims 1"
+                             " --truth fractional.labels.csv"),
     ("kmeans-truth", "kmeans --input data.csv --clusters 8 --restarts 4"
                      " --truth data.labels.csv"),
     ("kmeans-output", "kmeans --input small.csv --clusters 3 --normalize --output km.json"),
@@ -85,14 +90,19 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 
 def write_fixtures(work: str) -> None:
-    """Inputs no rkm command makes: label files of the wrong kinds and two
-    atom sets for bench-consistency."""
+    """Inputs no rkm command makes: label files of the wrong kinds, data
+    files that only the csv.reader walk reads or refuses, and two atom sets
+    for bench-consistency."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
             fh.write("".join(line + "\n" for line in lines))
 
     put("sparse.labels.csv", ["label", *(str(997 * (i % 8) + 5) for i in range(120))])
     put("short.labels.csv", ["label", *(str(i % 8) for i in range(7))])
+    put("fractional.labels.csv", ["label", "0", "1.5", "1", "0", "1"])
+    put("quoted.csv", ['"x","y"', '"1.5",2', '3,"-0.5"', "", '4,4.25', '"-2",1', "0.25,-3"])
+    put("ragged.csv", ["1,2", "3,4,5", "6,7"])
+    put("badcell.csv", ["1,2", "3,x", "6,7"])
     put("atoms5.csv", ["x,y", "-2,0.5", "-1,-0.3", "0.2,0.1", "1.4,0.6", "2.5,-0.4"])
     put("atoms8.csv", [f"{i - 3.5},{(-1) ** i * 0.25 * (i % 3)}" for i in range(8)])
 
