@@ -104,19 +104,22 @@ def _nearest(
     y: np.ndarray, centers: np.ndarray, y_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (..., n) and their squared distances, with
-    argmin's choice: the first center at the minimum, or a row's first NaN."""
+    argmin's choice: the first center at the minimum."""
     d = _distance_block(y, centers, y_sq)
     low, labels = d[0], np.zeros(d.shape[1:], dtype=np.intp)
     for j in range(1, len(d)):
         # j tops every label so far, so a maximum writes it branch-free; the
-        # strict test keeps the first center, and np.minimum carries NaN
+        # strict test keeps the first center
         np.maximum(labels, (d[j] < low) * j, out=labels)
         low = np.minimum(low, d[j], out=None if j == 1 else low)
-    if np.isnan(low).any():
-        for j in range(len(d) - 1, -1, -1):
-            np.copyto(labels, j, where=np.isnan(d[j]))
-        low = np.take_along_axis(d, labels[None], axis=0)[0]
     return labels, low
+
+
+def nearest_sq(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of y (n x q) to its nearest row of f
+    (k x q), in the difference form: no cancellation, and 0.0 on a row of f."""
+    d = y[:, None, :] - f[None, :, :]
+    return np.sum(d * d, axis=2).min(axis=1)
 
 
 def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

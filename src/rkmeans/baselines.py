@@ -204,7 +204,12 @@ def tandem_fit(
     restarts: int = 30,
     seed: int = 0,
 ) -> tuple[LoadingMatrix, KmeansSolution]:
-    """Two-step pipeline: PCA loadings, then k-means on the centered scores."""
+    """Two-step pipeline: PCA loadings, then k-means on the centered scores,
+    taken at ``_kernels.in_range``'s scale of X and scaled back."""
     A = pca_fit(X, q)
-    scores = (X.values - X.values.mean(axis=0)) @ A.values
-    return A, kmeans_fit(DataMatrix(scores), k, restarts=restarts, seed=seed)
+    x, e = _kernels.in_range(X.values)
+    km = kmeans_fit(DataMatrix((x - x.mean(axis=0)) @ A.values), k, restarts=restarts, seed=seed)
+    if e:
+        loss = _kernels.scaled_loss(km.loss, e, x)
+        km = KmeansSolution(np.ldexp(km.centers, e), km.assignment, loss)
+    return A, km

@@ -193,10 +193,6 @@ def _load_input(args) -> tuple[DataMatrix, Assignment | None]:
     return X, truth
 
 
-def _ari(truth, assignment) -> dict | None:
-    return None if truth is None else {"ari": adjusted_rand_index(assignment, truth)}
-
-
 def _timed(fn, *args, **kwargs):
     """fn's result and the wall-clock timing block of the call."""
     started = time.perf_counter()
@@ -204,12 +200,14 @@ def _timed(fn, *args, **kwargs):
     return result, {"seconds": time.perf_counter() - started}
 
 
-def _emit(args, solution, metrics=None, timing=None, **overrides) -> None:
-    """Write the command's result document to --output, or to stdout. The
-    config echoes every parsed argument but the NOT_ECHOED ones, then the
-    overrides."""
+def _emit(args, solution, timing=None, truth=None, assignment=None, **overrides) -> int:
+    """Write the command's result document to --output, or to stdout, and
+    return the exit code. Its metrics are the ARI of assignment against the
+    --truth labels, if given. The config echoes every parsed argument but
+    the NOT_ECHOED ones, then the overrides."""
     config = {key: value for key, value in vars(args).items() if key not in NOT_ECHOED}
     config.update(overrides)
+    metrics = None if truth is None else {"ari": adjusted_rand_index(assignment, truth)}
     doc = ResultDocument(command=args.command, config=config, solution=solution,
                          metrics=metrics, timing=timing or {})
     if args.output:
@@ -217,6 +215,13 @@ def _emit(args, solution, metrics=None, timing=None, **overrides) -> None:
         log.info("wrote %s", args.output)
     else:
         sys.stdout.write(doc.to_json())
+    return 0
+
+
+def _kmeans_payload(km) -> dict:
+    """A k-means fit's centers, labels and loss, as kmeans and tandem report them."""
+    return {"centers": matrix_payload(km.centers),
+            "labels": [int(v) for v in km.assignment.labels], "loss": km.loss}
 
 
 def _cmd_fit(args) -> int:
@@ -234,7 +239,7 @@ def _cmd_fit(args) -> int:
         "loss": sol.loss,
         "iterations": sol.iterations,
         "restart_index": sol.restart_index,
-    }, _ari(truth, sol.assignment), timing)
+    }, timing, truth, sol.assignment)
     if args.emit_coords:
         scores, centers = project(X, sol)
         base = os.path.splitext(args.output)[0]
@@ -248,26 +253,15 @@ def _cmd_fit(args) -> int:
 def _cmd_kmeans(args) -> int:
     X, truth = _load_input(args)
     km, timing = _timed(kmeans_fit, X, args.clusters, restarts=args.restarts, seed=args.seed)
-    _emit(args, {
-        "centers": matrix_payload(km.centers),
-        "labels": [int(v) for v in km.assignment.labels],
-        "loss": km.loss,
-    }, _ari(truth, km.assignment), timing)
-    return 0
+    return _emit(args, _kmeans_payload(km), timing, truth, km.assignment)
 
 
 def _cmd_tandem(args) -> int:
     X, truth = _load_input(args)
-    (loading, km), timing = _timed(
-        tandem_fit, X, args.clusters, args.dims, restarts=args.restarts, seed=args.seed
-    )
-    _emit(args, {
-        "loading": matrix_payload(loading.values, order="column"),
-        "centers": matrix_payload(km.centers),
-        "labels": [int(v) for v in km.assignment.labels],
-        "loss": km.loss,
-    }, _ari(truth, km.assignment), timing)
-    return 0
+    (loading, km), timing = _timed(tandem_fit, X, args.clusters, args.dims,
+                                   restarts=args.restarts, seed=args.seed)
+    solution = {"loading": matrix_payload(loading.values, order="column"), **_kmeans_payload(km)}
+    return _emit(args, solution, timing, truth, km.assignment)
 
 
 def _cmd_select_dim(args) -> int:
@@ -276,12 +270,11 @@ def _cmd_select_dim(args) -> int:
         select_dimension, X, args.clusters, args.max_dims, args.restarts, args.seed
     )
     best = profile.solutions[profile.q_hat - 1]
-    _emit(args, {
+    return _emit(args, {
         "vr": {str(q): v for q, v in sorted(profile.vr.items())},
         "delta2": {str(q): v for q, v in sorted(profile.delta2.items())},
         "q_hat": profile.q_hat,
-    }, _ari(truth, best.assignment), timing, max_dims=profile.q_max)
-    return 0
+    }, timing, truth, best.assignment, max_dims=profile.q_max)
 
 
 def _cmd_gen(args) -> int:
@@ -317,9 +310,8 @@ def _cmd_bench_consistency(args) -> int:
         report.write_csv(args.output)
         log.info("wrote %s", args.output)
         return 0
-    _emit(args, {"report": report.to_json_dict(), "summary": report.summary()},
-          timing=timing, atoms=args.atoms or "demo")
-    return 0
+    return _emit(args, {"report": report.to_json_dict(), "summary": report.summary()},
+                 timing, atoms=args.atoms or "demo")
 
 
 def _cmd_bench_agreement(args) -> int:
@@ -332,22 +324,20 @@ def _cmd_bench_agreement(args) -> int:
         seed=args.seed,
     )
     result = results[0]
-    _emit(args, {
+    return _emit(args, {
         "setting": list(result.setting),
         "reps": result.reps,
         "hits": result.hits,
         "rate": result.rate,
         "picks": [list(pair) for pair in result.picks],
-    }, timing=timing)
-    return 0
+    }, timing)
 
 
 def _cmd_rate_bound(args) -> int:
     result = rate_bound(args.n, args.clusters, args.p, args.radius, args.epsilon)
     if args.output:
-        _emit(args, {"bound": result.bound, "raw": result.raw})
-    else:
-        sys.stdout.write(f"bound: {result.bound}\nraw: {result.raw}\n")
+        return _emit(args, {"bound": result.bound, "raw": result.raw})
+    sys.stdout.write(f"bound: {result.bound}\nraw: {result.raw}\n")
     return 0
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from ._seeds import spawn_rng, spawn_seed
 from .baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from .datagen import TABLE1_K, TABLE1_N, DatasetSpec, generate_dataset
@@ -246,17 +247,14 @@ def population_risk(pop: PopulationSpec, A: LoadingMatrix, F: CentroidSet) -> fl
     if A.q != F.q:
         raise ValueError(f"loading has q={A.q} but centroids have q={F.q}")
     t = pop.atoms @ A.values
-    d = t[:, None, :] - F.values[None, :, :]
-    nearest = np.sum(d * d, axis=2).min(axis=1)
     sq = np.sum(pop.atoms * pop.atoms, axis=1) - np.sum(t * t, axis=1)
-    return float(pop.weights @ (sq + nearest))
+    return float(pop.weights @ (sq + _kernels.nearest_sq(t, F.values)))
 
 
 def _population_vr(pop: PopulationSpec, opt: OracleSolution) -> float:
     """Variance-ratio value of the population at the oracle optimum."""
     t = pop.atoms @ opt.loading.values
-    d = t[:, None, :] - opt.centroids.values[None, :, :]
-    within = float(pop.weights @ np.sum(d * d, axis=2).min(axis=1))
+    within = float(pop.weights @ _kernels.nearest_sq(t, opt.centroids.values))
     mean = pop.weights @ t
     centered = t - mean
     total = float(pop.weights @ np.sum(centered * centered, axis=1))

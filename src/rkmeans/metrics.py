@@ -12,6 +12,7 @@ from math import comb
 
 import numpy as np
 
+from . import _kernels
 from .types import Assignment, CentroidSet, LoadingMatrix, _frozen_array
 
 
@@ -44,9 +45,8 @@ def directed_hausdorff(F: CentroidSet, G: CentroidSet) -> float:
     """max over rows f of F of the distance from f to the nearest row of G."""
     if F.q != G.q:
         raise ValueError(f"centroid sets differ in dimension: {F.q} vs {G.q}")
-    diff = F.values[:, None, :] - G.values[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=2))
-    return float(d.min(axis=1).max())
+    # sqrt is monotone, so it can follow the min and the max
+    return float(np.sqrt(_kernels.nearest_sq(F.values, G.values).max()))
 
 
 def symmetric_hausdorff(F: CentroidSet, G: CentroidSet) -> float:

@@ -53,8 +53,7 @@ def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
         raise ValueError(f"solution has p={sol.loading.p} but data has p={X.p}")
     x, e = _kernels.in_range(X.values)
     y = x @ sol.loading.values
-    d = y[:, None, :] - np.ldexp(sol.centroids.values, -e)[None, :, :]
-    within = float(np.sum(d * d, axis=2).min(axis=1).sum())
+    within = float(_kernels.nearest_sq(y, np.ldexp(sol.centroids.values, -e)).sum())
     centered = y - y.mean(axis=0)
     total = float(np.sum(centered * centered))
     if total <= 0.0:

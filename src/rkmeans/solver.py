@@ -63,10 +63,14 @@ class SolverConfig:
 
 def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignment:
     """Nearest projected centroid per object; ties to the smallest index.
-    Equivalent to minimizing the full-space distance |x - A f_j|."""
+    Equivalent to minimizing the full-space distance |x - A f_j|. X and F
+    are scored at ``_kernels.in_range``'s scale of their joint max."""
     _check_shapes(X, A, F)
-    y = X.values @ A.values
-    return Assignment(_kernels.assign_to_nearest(y, F.values), F.k)
+    x, f = X.values, F.values
+    e = _kernels.in_range(np.array([np.max(np.abs(x)), np.max(np.abs(f))]))[1]
+    if e:
+        x, f = np.ldexp(x, -e), np.ldexp(f, -e)
+    return Assignment(_kernels.assign_to_nearest(x @ A.values, f), F.k)
 
 
 def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:

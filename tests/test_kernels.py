@@ -8,7 +8,7 @@ loop); the fits' byte-identical output rests on these equalities.
 import numpy as np
 import pytest
 
-from rkmeans import SolverConfig, _kernels, solver
+from rkmeans import CentroidSet, SolverConfig, _kernels, directed_hausdorff, solver
 from rkmeans._seeds import spawn_rng
 
 
@@ -84,18 +84,37 @@ def test_nearest_is_the_row_major_argmin_bitwise():
     assert ties > 100, "too few tied rows to pin the first-index rule"
 
 
-def test_nearest_keeps_argmins_nan_rule_on_overflowing_data():
-    # at 1e160 the squares overflow and inf - inf leaves NaN in the block;
-    # argmin takes the first NaN of a row as its minimum
-    nan_rows = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for case, y, centers in _distance_cases(1, scale=1e160):
-            d, labels, low = _row_major_nearest(y, centers)
-            got_labels, got_low = _kernels._nearest(y, centers)
-            assert got_labels.tobytes() == labels.tobytes(), f"case {case}"
-            assert got_low.tobytes() == low.tobytes(), f"case {case}"
-            nan_rows += int(np.sum(np.isnan(low) & ~np.all(np.isnan(d), axis=-1)))
-    assert nan_rows > 100, "too few rows mixing NaN with numbers"
+def test_nearest_sq_is_the_scorers_difference_form_bitwise():
+    # vr_hat sums the minima, the lab weighs them by @, and
+    # directed_hausdorff took the sqrt before the min and the max
+    rng = np.random.default_rng(1)
+    zeros = ties = 0
+    for q in range(1, 8):
+        for k in range(1, 9):
+            w = rng.random(30)
+            for kind in ("normal", "grid", "duplicates"):
+                if kind == "normal":
+                    y, f = rng.standard_normal((30, q)), rng.standard_normal((k, q))
+                else:
+                    y = rng.integers(-2, 3, (30, q)).astype(float)
+                    f = rng.integers(-2, 3, (k, q)).astype(float)
+                if kind == "duplicates":
+                    y[15:] = y[:15]
+                    f = y[rng.integers(0, 30, k)]
+                d = y[:, None, :] - f[None, :, :]
+                block = np.sum(d * d, axis=2)
+                old = block.min(axis=1)
+                got = _kernels.nearest_sq(y, f)
+                assert got.tobytes() == old.tobytes(), (q, k, kind)
+                assert float(got.sum()) == float(old.sum())
+                assert (w @ got).tobytes() == (w @ old).tobytes()
+                hausdorff = np.sqrt(np.sum(d * d, axis=2)).min(axis=1).max()
+                got_h = directed_hausdorff(CentroidSet(y), CentroidSet(f))
+                assert np.float64(got_h).tobytes() == hausdorff.tobytes(), (q, k, kind)
+                zeros += int(np.sum(got == 0.0))
+                ties += int(np.sum(np.sum(block == old[:, None], axis=1) > 1))
+    assert zeros > 500, "too few rows on a center to pin the exact zeros"
+    assert ties > 500, "too few tied rows"
 
 
 def test_stacked_polar_is_the_row_major_product_bitwise():

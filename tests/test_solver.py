@@ -15,6 +15,7 @@ from rkmeans import (
     kmeans_fit,
     project,
     rkm_objective,
+    tandem_fit,
     vr_hat,
 )
 
@@ -483,3 +484,30 @@ def test_a_loss_past_the_largest_double_is_a_named_error(scale_data):
             kmeans_fit(X, 4, restarts=2)
         with pytest.raises(ValueError, match="loss overflows a double"):
             rkm_objective(X, rkm.loading, CentroidSet(rkm.centroids.values * scale))
+
+
+@pytest.mark.parametrize("scale", [1e160, 2.0**510, 2.0**-510, 1e-170],
+                         ids=["1e160", "2**510", "2**-510", "1e-170"])
+def test_assign_clusters_scores_data_past_the_range_of_its_squares(scale_data, scale):
+    # the projected distances overflow at 1e160 and 2**510, and underflow to
+    # ties at 1e-170; one power of two for X and F keeps every label
+    z, rkm, _ = scale_data
+    labels = assign_clusters(DataMatrix(z), rkm.loading, rkm.centroids).labels
+    assert np.array_equal(labels, rkm.assignment.labels)
+    F = CentroidSet(rkm.centroids.values * scale)
+    assert np.array_equal(assign_clusters(DataMatrix(z * scale), rkm.loading, F).labels, labels)
+
+
+def test_tandem_fits_data_past_the_range_of_its_squares(scale_data):
+    # tandem centers and scores at the engine's scale: a power of two keeps
+    # every bit, and a loss past the largest double is the solvers' named error
+    z = scale_data[0]
+    loading, km = tandem_fit(DataMatrix(z), 4, 2, restarts=5)
+    for scale in (2.0**510, 2.0**-510):
+        scaled_loading, scaled_km = tandem_fit(DataMatrix(z * scale), 4, 2, restarts=5)
+        assert scaled_loading.values.tobytes() == loading.values.tobytes()
+        assert np.array_equal(scaled_km.assignment.labels, km.assignment.labels)
+        assert np.array_equal(scaled_km.centers, km.centers * scale)
+        assert scaled_km.loss == km.loss * scale * scale
+    with pytest.raises(ValueError, match="loss overflows a double"):
+        tandem_fit(DataMatrix(z * 1e307), 4, 2, restarts=2)

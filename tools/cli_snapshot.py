@@ -51,10 +51,14 @@ COMMANDS = [
     ("kmeans-truth", "kmeans --input data.csv --clusters 8 --restarts 4"
                      " --truth data.labels.csv"),
     ("kmeans-output", "kmeans --input small.csv --clusters 3 --normalize --output km.json"),
+    ("kmeans-truth-output", "kmeans --input data.csv --clusters 8 --restarts 3"
+                            " --truth data.labels.csv --output km-truth.json"),
     ("tandem-truth", "tandem --input data.csv --clusters 8 --dims 2 --restarts 4"
                      " --truth data.labels.csv"),
     ("tandem-output", "tandem --input wide.csv --clusters 8 --dims 3 --normalize"
                       " --output tandem.json"),
+    ("tandem-truth-output", "tandem --input data.csv --clusters 8 --dims 2 --restarts 3"
+                            " --truth data.labels.csv --output tandem-truth.json"),
     ("select-dim", "select-dim --input small.csv --clusters 4 --restarts 3 --normalize"),
     ("select-dim-max-dims", "select-dim --input data.csv --clusters 8 --max-dims 3"
                             " --restarts 3 --truth data.labels.csv"),
@@ -71,6 +75,8 @@ COMMANDS = [
     ("agreement-q2p5", "bench-agreement --preset table1-q2p5 --reps 1 --restarts 2 --seed 3"),
     ("agreement-q3p5", "bench-agreement --preset table1-q3p5 --reps 1 --restarts 2"
                        " --output agree.json"),
+    ("agreement-log-info", "bench-agreement --preset table1-q2p5 --reps 1 --restarts 2"
+                           " --output agree-logged.json", {"RKM_LOG": "info"}),
     ("rate-bound", "rate-bound --n 1000 --clusters 3 --p 2 --radius 1 --epsilon 0.5"),
     ("rate-bound-output", "rate-bound --n 1000 --clusters 3 --p 2 --radius 1 --epsilon 0.5"
                           " --output rate.json"),
