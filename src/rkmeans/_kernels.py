@@ -37,13 +37,14 @@ REL_TOLERANCE = 1e-9
 MAX_ITERATIONS = 300
 
 
-def in_range(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x * 2^-e, e): data whose squares would overflow or go subnormal (max
-    |x| outside [2^-60, 2^60]) comes back with max |x| in [0.5, 1), other
-    data as x itself with e = 0. Every step on the result carries 2^-e exactly."""
-    top = float(np.max(np.abs(x)))
+def in_range(*arrays: np.ndarray) -> tuple:
+    """(*arrays * 2^-e, e), one e for all the arrays a computation scores:
+    where their joint max |x| lies outside [2^-60, 2^60], so that squares
+    would overflow or go subnormal, they come back with that max in [0.5, 1),
+    else as themselves with e = 0. Every step on them carries 2^-e exactly."""
+    top = max(float(np.max(np.abs(x))) for x in arrays)
     e = 0 if 2.0**-60 <= top <= 2.0**60 else math.frexp(top)[1]
-    return (np.ldexp(x, -e) if e else x), e
+    return (*(np.ldexp(x, -e) if e else x for x in arrays), e)
 
 
 def scaled_loss(loss: float, e: int, x: np.ndarray) -> float:

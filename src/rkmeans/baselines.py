@@ -68,7 +68,9 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
     ``values`` must be sorted ascending: every optimal 1-D clustering uses
     contiguous runs, so the DP over split points is exhaustive. The optional
     nonnegative ``weights`` generalize the objective to
-    sum_i w_i * (v_i - c_{label(i)})^2 / sum_i w_i.
+    sum_i w_i * (v_i - c_{label(i)})^2 / sum_i w_i. The DP runs at
+    ``_kernels.in_range``'s scale of the values; the centers and the loss are
+    scaled back.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     n = v.size
@@ -92,6 +94,7 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         if np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
 
+    v, e = _kernels.in_range(v)
     prefix = weighted_prefix_sums(v[None, :], w[None, :])
     cost, split = kmeans_1d_dp(prefix, k, keep_splits=True)
     cw, cwv = prefix[0][0], prefix[1][0]
@@ -104,8 +107,8 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         sw = cw[i] - cw[s]
         centers[j - 1, 0] = (cwv[i] - cwv[s]) / sw if sw > 0 else v[s]
         i = s
-    loss = float(cost[0]) / float(w.sum())
-    return KmeansSolution(centers=centers, assignment=Assignment(labels, k), loss=loss)
+    loss = _kernels.scaled_loss(float(cost[0]) / float(w.sum()), e, v)
+    return KmeansSolution(np.ldexp(centers, e), Assignment(labels, k), loss)
 
 
 def weighted_prefix_sums(ts: np.ndarray, ws: np.ndarray) -> tuple:

@@ -105,7 +105,8 @@ def oracle_global_min(target, k: int) -> OracleSolution:
 
     The loss is 2R^2-Lipschitz in the angle (R = largest point norm), so the
     best grid value is within grid_gap = 2 R^2 pi / ANGLE_GRID of the true
-    optimum over all directions.
+    optimum over all directions. The search runs at ``_kernels.in_range``'s
+    scale of the points; the loss, the gap and the centroids are scaled back.
     """
     atoms, weights = _as_atoms(target)
     if atoms.shape[1] != 2:
@@ -115,6 +116,7 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m} points, got k={k}")
 
+    atoms, e = _kernels.in_range(atoms)
     angles = np.linspace(0.0, np.pi, ANGLE_GRID, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # all projections at once: row g holds the m projected values at angle g
@@ -136,10 +138,10 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     radius = float(np.sqrt(np.sum(atoms * atoms, axis=1).max()))
     gap = 2.0 * radius * radius * np.pi / ANGLE_GRID
     return OracleSolution(
-        loss=float(losses[g_best]),
-        centroids=CentroidSet(km.centers),
+        loss=_kernels.scaled_loss(float(losses[g_best]), e, atoms),
+        centroids=CentroidSet(np.ldexp(km.centers, e)),
         angle=float(angles[g_best]),
-        grid_gap=gap,
+        grid_gap=_kernels.scaled_loss(gap, e, atoms),
     )
 
 
@@ -241,20 +243,24 @@ class ConvergenceReport:
 
 def population_risk(pop: PopulationSpec, A: LoadingMatrix, F: CentroidSet) -> float:
     """Exact population loss of the parameters: the weighted mean over atoms
-    of the squared distance to the nearest subspace centroid."""
+    of the squared distance to the nearest subspace centroid, taken at
+    ``_kernels.in_range``'s one scale of the atoms and F and scaled back."""
     if A.p != pop.p:
         raise ValueError(f"loading has p={A.p} but population has p={pop.p}")
     if A.q != F.q:
         raise ValueError(f"loading has q={A.q} but centroids have q={F.q}")
-    t = pop.atoms @ A.values
-    sq = np.sum(pop.atoms * pop.atoms, axis=1) - np.sum(t * t, axis=1)
-    return float(pop.weights @ (sq + _kernels.nearest_sq(t, F.values)))
+    atoms, f, e = _kernels.in_range(pop.atoms, F.values)
+    t = atoms @ A.values
+    sq = np.sum(atoms * atoms, axis=1) - np.sum(t * t, axis=1)
+    return _kernels.scaled_loss(float(pop.weights @ (sq + _kernels.nearest_sq(t, f))), e, atoms)
 
 
 def _population_vr(pop: PopulationSpec, opt: OracleSolution) -> float:
-    """Variance-ratio value of the population at the oracle optimum."""
-    t = pop.atoms @ opt.loading.values
-    within = float(pop.weights @ _kernels.nearest_sq(t, opt.centroids.values))
+    """Variance-ratio value of the population at the oracle optimum, a ratio
+    taken at ``_kernels.in_range``'s one scale of the atoms and centroids."""
+    atoms, f, _ = _kernels.in_range(pop.atoms, opt.centroids.values)
+    t = atoms @ opt.loading.values
+    within = float(pop.weights @ _kernels.nearest_sq(t, f))
     mean = pop.weights @ t
     centered = t - mean
     total = float(pop.weights @ np.sum(centered * centered, axis=1))

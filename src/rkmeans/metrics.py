@@ -8,7 +8,7 @@ indeterminacy of the model.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, ldexp
 
 import numpy as np
 
@@ -42,11 +42,13 @@ def adjusted_rand_index(a: Assignment, b: Assignment) -> float:
 
 
 def directed_hausdorff(F: CentroidSet, G: CentroidSet) -> float:
-    """max over rows f of F of the distance from f to the nearest row of G."""
+    """max over rows f of F of the distance from f to the nearest row of G,
+    taken at ``_kernels.in_range``'s one scale of F and G and scaled back."""
     if F.q != G.q:
         raise ValueError(f"centroid sets differ in dimension: {F.q} vs {G.q}")
+    f, g, e = _kernels.in_range(F.values, G.values)
     # sqrt is monotone, so it can follow the min and the max
-    return float(np.sqrt(_kernels.nearest_sq(F.values, G.values).max()))
+    return ldexp(float(np.sqrt(_kernels.nearest_sq(f, g).max())), e)
 
 
 def symmetric_hausdorff(F: CentroidSet, G: CentroidSet) -> float:

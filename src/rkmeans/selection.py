@@ -51,9 +51,9 @@ def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
     ``_kernels.in_range``'s scale of X and the centroids."""
     if sol.loading.p != X.p:
         raise ValueError(f"solution has p={sol.loading.p} but data has p={X.p}")
-    x, e = _kernels.in_range(X.values)
+    x, f, _ = _kernels.in_range(X.values, sol.centroids.values)
     y = x @ sol.loading.values
-    within = float(_kernels.nearest_sq(y, np.ldexp(sol.centroids.values, -e)).sum())
+    within = float(_kernels.nearest_sq(y, f).sum())
     centered = y - y.mean(axis=0)
     total = float(np.sum(centered * centered))
     if total <= 0.0:

@@ -64,12 +64,9 @@ class SolverConfig:
 def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignment:
     """Nearest projected centroid per object; ties to the smallest index.
     Equivalent to minimizing the full-space distance |x - A f_j|. X and F
-    are scored at ``_kernels.in_range``'s scale of their joint max."""
+    are scored at ``_kernels.in_range``'s one scale of both."""
     _check_shapes(X, A, F)
-    x, f = X.values, F.values
-    e = _kernels.in_range(np.array([np.max(np.abs(x)), np.max(np.abs(f))]))[1]
-    if e:
-        x, f = np.ldexp(x, -e), np.ldexp(f, -e)
+    x, f, _ = _kernels.in_range(X.values, F.values)
     return Assignment(_kernels.assign_to_nearest(x @ A.values, f), F.k)
 
 

@@ -180,14 +180,14 @@ def rkm_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> float:
 
     Because A is column-orthonormal the residual splits into an orthogonal
     part and a projected part, so the minimum over centroids is taken on the
-    q-dimensional projections. The sums run at ``_kernels.in_range``'s scale
-    of X, so a loss past the largest double is a ValueError.
+    q-dimensional projections. The sums run at ``_kernels.in_range``'s one
+    scale of X and F, so a loss past the largest double is a ValueError.
     """
     _check_shapes(X, A, F)
-    x, e = _kernels.in_range(X.values)
+    x, f, e = _kernels.in_range(X.values, F.values)
     y = x @ A.values
     ortho = np.sum(x * x) - np.sum(y * y)
-    d = _kernels.sq_distances(y, np.ldexp(F.values, -e))
+    d = _kernels.sq_distances(y, f)
     return _kernels.scaled_loss(float((ortho + np.sum(d.min(axis=1))) / X.n), e, x)
 
 

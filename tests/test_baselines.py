@@ -1,4 +1,6 @@
 """Baselines: Lloyd k-means, exact 1-D k-means, PCA, tandem pipeline."""
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,34 @@ def test_1d_weighted_equals_repetition():
     repeated = kmeans_1d_exact(np.repeat(v, [2, 1, 3, 1]), 2)
     assert weighted.loss == pytest.approx(repeated.loss, rel=1e-12)
     assert np.allclose(np.sort(weighted.centers.ravel()), np.sort(repeated.centers.ravel()))
+
+
+def test_1d_exact_runs_at_one_scale():
+    # criterion 10's draws: the squares overflow at 2^514 and go subnormal
+    # at 2^-514. A power of two carries through the DP exactly, and a loss
+    # past the largest double is the solvers' named error
+    named = 0
+    for s in range(200):
+        rng = np.random.default_rng(7000 + s)
+        n = int(rng.integers(1, 11))
+        k = int(rng.integers(1, min(4, n) + 1))
+        v = np.sort(rng.uniform(-5, 5, n))
+        base = kmeans_1d_exact(v, k)
+        for e in (514, -514):
+            try:
+                loss = math.ldexp(base.loss, 2 * e)
+            except OverflowError:
+                with pytest.raises(ValueError, match="loss overflows a double"):
+                    kmeans_1d_exact(v * 2.0**e, k)
+                named += 1
+                continue
+            sol = kmeans_1d_exact(v * 2.0**e, k)
+            assert np.array_equal(sol.assignment.labels, base.assignment.labels)
+            assert np.array_equal(sol.centers, base.centers * 2.0**e)
+            assert sol.loss == loss
+    assert 0 < named < 200
+    with pytest.raises(ValueError, match="loss overflows a double"):
+        kmeans_1d_exact(np.array([-2.0, -1.0, 1.0, 3.0]) * 1e160, 2)
 
 
 def test_kmeans_dominates_1d_oracle():

@@ -131,6 +131,20 @@ class TestOracle:
         assert from_data.loss == from_pop.loss
         assert from_data.angle == from_pop.angle
 
+    def test_search_runs_at_one_scale(self):
+        # at 2^514 the squares overflow; a power of two carries through the
+        # search exactly, and a loss past the largest double is the solvers'
+        # named error, with no warning
+        pop = four_atom_pop()
+        base = oracle_global_min(pop, k=2)
+        opt = oracle_global_min(PopulationSpec(pop.atoms * 2.0**514, pop.weights), k=2)
+        assert opt.angle == base.angle
+        assert opt.loss == math.ldexp(base.loss, 2 * 514)
+        assert opt.grid_gap == math.ldexp(base.grid_gap, 2 * 514)
+        assert np.array_equal(opt.centroids.values, base.centroids.values * 2.0**514)
+        with pytest.raises(ValueError, match="loss overflows a double"):
+            oracle_global_min(PopulationSpec(pop.atoms * 1e160, pop.weights), k=2)
+
     def test_argument_validation(self):
         pop = four_atom_pop()
         with pytest.raises(ValueError, match="p=2"):
@@ -252,6 +266,27 @@ class TestPopulationRisk:
         )
         with pytest.raises(DegenerateDataError, match="single point"):
             _population_vr(pop, fake)
+
+    def test_scorers_run_at_one_scale(self):
+        # atoms and centroids past the range of their squares: at 2^514 the
+        # risk is exactly 4^514 times the unscaled one and the ratio is the
+        # same, and at 1e-170 the projected spread no longer underflows to
+        # a single point; off the optimum the within-cluster term is nonzero
+        pop = four_atom_pop()
+        opt = oracle_global_min(pop, k=2)
+
+        def scaled(sol, scale):
+            centroids = CentroidSet(sol.centroids.values * scale)
+            return (PopulationSpec(pop.atoms * scale, pop.weights),
+                    dataclasses.replace(sol, centroids=centroids))
+
+        for sol in (opt, dataclasses.replace(opt, angle=0.1)):
+            vr = _population_vr(pop, sol)
+            big_pop, big = scaled(sol, 2.0**514)
+            assert population_risk(big_pop, sol.loading, big.centroids) == \
+                math.ldexp(population_risk(pop, sol.loading, sol.centroids), 2 * 514)
+            assert _population_vr(big_pop, big) == vr
+            assert _population_vr(*scaled(sol, 1e-170)) == pytest.approx(vr, rel=1e-12, abs=0.0)
 
 
 class TestCheckDistinctness:
@@ -375,6 +410,27 @@ class TestConsistencyExperiment:
             restarts=5,
             seed=seed,
         )
+
+    def test_a_power_of_two_scales_every_record_exactly(self):
+        # the fits, the oracle and the population scorers all run at one
+        # scale. At 2^511 every loss is a double, but not every square (the
+        # oracle gap's 2 R^2 is not); at 2^514 the one-cluster optimum,
+        # 1.01 * 4^514, is past the largest double, so the run stops with
+        # the named error
+        pop = four_atom_pop()
+        args = dict(k=2, q=1, n_grid=(20, 40), reps=2, restarts=2)
+        base = consistency_experiment(pop, **args)
+        big = consistency_experiment(PopulationSpec(pop.atoms * 2.0**511, pop.weights), **args)
+        for field in ("losses", "population_risks"):
+            for n in base.n_grid:
+                expected = tuple(math.ldexp(v, 2 * 511) for v in getattr(base, field)[n])
+                assert getattr(big, field)[n] == expected
+        assert big.vr_values == base.vr_values
+        assert big.oracle_vr == base.oracle_vr
+        assert big.oracle_loss == math.ldexp(base.oracle_loss, 2 * 511)
+        assert big.oracle_gap == math.ldexp(base.oracle_gap, 2 * 511)
+        with pytest.raises(ValueError, match="loss overflows a double"):
+            consistency_experiment(PopulationSpec(pop.atoms * 2.0**514, pop.weights), **args)
 
     def test_smoke_and_certified_sandwich(self):
         report = self.run_small()

@@ -112,6 +112,16 @@ def test_directed_hausdorff_hand_cases():
         directed_hausdorff(F, CentroidSet([[0.0, 1.0]]))
 
 
+def test_directed_hausdorff_runs_at_one_scale():
+    # the squared differences overflow at 2^514 and go subnormal at 2^-514;
+    # a power of two carries through exactly
+    rng = np.random.default_rng(4)
+    F, G = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    base = directed_hausdorff(CentroidSet(F), CentroidSet(G))
+    for scale in (2.0**514, 2.0**-514):
+        assert directed_hausdorff(CentroidSet(F * scale), CentroidSet(G * scale)) == base * scale
+
+
 def _random_rotation(q, rng):
     m = rng.standard_normal((q, q))
     u, _, vh = np.linalg.svd(m)

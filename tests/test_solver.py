@@ -486,6 +486,17 @@ def test_a_loss_past_the_largest_double_is_a_named_error(scale_data):
             rkm_objective(X, rkm.loading, CentroidSet(rkm.centroids.values * scale))
 
 
+def test_rkm_objective_takes_one_scale_of_x_and_centroids(scale_data):
+    # X far below its centroids' range: a scale taken from X alone would
+    # lift the centroids by about 2^539 and overflow their squares
+    z, rkm, _ = scale_data
+    X = DataMatrix(z * 2.0**-540)
+    U = assign_clusters(X, rkm.loading, rkm.centroids)
+    expected = assigned_objective(X, rkm.loading, rkm.centroids, U)
+    assert rkm_objective(X, rkm.loading, rkm.centroids) == \
+        pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("scale", [1e160, 2.0**510, 2.0**-510, 1e-170],
                          ids=["1e160", "2**510", "2**-510", "1e-170"])
 def test_assign_clusters_scores_data_past_the_range_of_its_squares(scale_data, scale):

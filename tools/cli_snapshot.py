@@ -90,6 +90,12 @@ COMMANDS = [
     *[(f"help-{sub}", f"{sub} --help")
       for sub in ("fit", "kmeans", "tandem", "select-dim", "gen", "bench-consistency",
                   "bench-agreement", "rate-bound")],
+    # the demo atoms past the range of their squares: 2^511 keeps every loss
+    # a double, 1e160 does not
+    ("consistency-atoms-2p511", "bench-consistency --atoms atoms-2p511.csv --n-grid 20,40"
+                                " --reps 2 --restarts 2"),
+    ("consistency-atoms-1e160", "bench-consistency --atoms atoms-1e160.csv --n-grid 20"
+                                " --reps 1"),
 ]
 
 TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
@@ -97,7 +103,7 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
-    files that only the csv.reader walk reads or refuses, and two atom sets
+    files that only the csv.reader walk reads or refuses, and four atom sets
     for bench-consistency."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
@@ -111,6 +117,9 @@ def write_fixtures(work: str) -> None:
     put("badcell.csv", ["1,2", "3,x", "6,7"])
     put("atoms5.csv", ["x,y", "-2,0.5", "-1,-0.3", "0.2,0.1", "1.4,0.6", "2.5,-0.4"])
     put("atoms8.csv", [f"{i - 3.5},{(-1) ** i * 0.25 * (i % 3)}" for i in range(8)])
+    demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
+    for name, scale in (("2p511", 2.0**511), ("1e160", 1e160)):
+        put(f"atoms-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in demo)])
 
 
 def contents(work: str) -> dict:
