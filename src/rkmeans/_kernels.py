@@ -272,12 +272,11 @@ def sweep_restarts(
     sweep's loss, then the final one: the loss of the finalized labels.
     Finalizing sets the labels to the nearest-center argmin for (a, f), ties
     to the smallest index, and repairs any cluster that leaves empty; at a
-    fixed point it changes nothing. The engine runs on in_range's scale of
-    x and scales f and the trace back.
+    fixed point it changes nothing. x must already be at in_range's scale;
+    f and the trace stay at it.
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
-    x, e = in_range(x)
     squares = x * x
     sx = float(np.sum(squares))
     y_sq = _row_sums(squares) if held else None
@@ -350,9 +349,6 @@ def sweep_restarts(
     loss = np.maximum((sx - sy_end + d_sums) / n, 0.0).tolist()
     for r in range(w):
         traces[r].append(loss[r])
-    if e:
-        f_end = np.ldexp(f_end, e)
-        traces = [[scaled_loss(v, e, x) for v in trace] for trace in traces]
     return [(None if held else a_end[r], f_end[r], labels[r], traces[r]) for r in range(w)]
 
 
@@ -378,11 +374,41 @@ def _finalize_repairs(
     return labels, float(np.sum(diff * diff))
 
 
+def best_restart(
+    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int
+) -> tuple:
+    """The best of the restarts sweep_restarts runs on x, one per generator
+    in rngs, with restart r starting from the loading a[r] (a = None holds
+    it at the identity). The restarts run in batch_width's batches on
+    in_range's scale of x. The winner has the lowest final loss at that
+    scale, ties to the smallest index. Returns (r, a, f, labels, trace) of
+    the winner, whose f and trace alone are scaled back: a final loss past
+    the largest double is scaled_loss's ValueError, an earlier sweep's
+    reads inf."""
+    x, e = in_range(x)
+    width = batch_width(x.shape[0], k, len(rngs))
+    best = None
+    for first in range(0, len(rngs), width):
+        part = slice(first, first + width)
+        results = sweep_restarts(x, None if a is None else a[part], k, rngs[part], max_iterations)
+        for r, result in enumerate(results, start=first):
+            # a restart's loss is the last entry of its trace
+            if best is None or result[3][-1] < best[4][-1]:
+                best = (r, *result)
+    r, a, f, labels, trace = best
+    if e:
+        with np.errstate(over="ignore"):
+            sweeps = np.ldexp(trace[:-1], 2 * e).tolist()
+        trace = [*sweeps, scaled_loss(trace[-1], e, x)]
+        f = np.ldexp(f, e)
+    return r, a, f, labels, trace
+
+
 def lloyd_single(
     y: np.ndarray, k: int, rng: np.random.Generator, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One Lloyd run on raw coordinates y from a k-means++ start drawn from
-    rng: a width-1 sweep_restarts with the loading held. Returns (centers,
+    rng: a width-1 best_restart with the loading held. Returns (centers,
     labels, mean loss, iterations)."""
-    _, centers, labels, trace = sweep_restarts(y, None, k, [rng], max_iterations)[0]
+    _, _, centers, labels, trace = best_restart(y, None, k, [rng], max_iterations)
     return centers, labels, trace[-1], len(trace) - 1

@@ -41,7 +41,7 @@ def kmeans_fit(
 ) -> KmeansSolution:
     """Best of ``restarts`` Lloyd runs from k-means++ starts, each stopped by
     fit_rkm's rule (``_kernels.REL_TOLERANCE``) or after
-    ``_kernels.MAX_ITERATIONS`` sweeps.
+    ``_kernels.MAX_ITERATIONS`` sweeps: fit_rkm's driver with the loading held.
 
     Each restart draws its RNG stream from (seed, restart index), so the
     winner is independent of execution order; loss ties keep the smallest
@@ -49,17 +49,11 @@ def kmeans_fit(
     """
     k = int(k)
     SolverConfig(k=k, q=X.p, restarts=restarts, seed=seed).validate_against(X)
-    y = np.asarray(X.values)
-    best = None
-    for r in range(restarts):
-        rng = spawn_rng(seed, r)
-        centers, labels, loss, _ = _kernels.lloyd_single(y, k, rng, _kernels.MAX_ITERATIONS)
-        if best is None or loss < best[0]:
-            best = (loss, centers, labels)
-    loss, centers, labels = best
-    return KmeansSolution(
-        centers=centers, assignment=Assignment(labels, k), loss=float(loss)
+    _, _, centers, labels, trace = _kernels.best_restart(
+        np.asarray(X.values), None, k, [spawn_rng(seed, r) for r in range(restarts)],
+        _kernels.MAX_ITERATIONS,
     )
+    return KmeansSolution(centers=centers, assignment=Assignment(labels, k), loss=trace[-1])
 
 
 def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:

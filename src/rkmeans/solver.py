@@ -78,7 +78,7 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     Gaussian p x q matrix. Centroids always start from k-means++ on XA. Each
     restart derives its RNG stream from (seed, restart index), so the outcome
     does not depend on execution order; loss ties keep the smallest index.
-    Restarts run in lockstep batches (``_kernels.sweep_restarts``) whose
+    Restarts run in lockstep batches (``_kernels.best_restart``) whose
     width depends on the input's shape only; each restart's result is
     bitwise what it would be on its own.
 
@@ -90,22 +90,13 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     config.validate_against(X)
     x = np.asarray(X.values)
     pca_a = _kernels.principal_axes(x, config.q)
-    width = _kernels.batch_width(x.shape[0], config.k, config.restarts)
-    best = None
-    for first in range(0, config.restarts, width):
-        chunk = range(first, min(first + width, config.restarts))
-        # the centroid-seeding stream matches the plain k-means baseline so
-        # the two solvers are restart-for-restart comparable when q == p;
-        # the loading draw gets its own stream to keep that alignment
-        results = _kernels.sweep_restarts(
-            x, _starts(config, pca_a, chunk), config.k,
-            [spawn_rng(config.seed, r) for r in chunk], config.max_iterations,
-        )
-        for r, (a, f, labels, trace) in zip(chunk, results):
-            # a restart's loss is the last entry of its trace
-            if best is None or trace[-1] < best[-1][-1]:
-                best = (r, a, f, labels, trace)
-    r, a, f, labels, trace = best
+    # the centroid-seeding stream matches the plain k-means baseline so the
+    # two solvers are restart-for-restart comparable when q == p; the
+    # loading draw gets its own stream to keep that alignment
+    r, a, f, labels, trace = _kernels.best_restart(
+        x, _starts(config, pca_a, range(config.restarts)), config.k,
+        [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,
+    )
     return RkmSolution(
         loading=LoadingMatrix(a),
         centroids=CentroidSet(f),

@@ -141,7 +141,9 @@ class RkmSolution:
 
     ``sweep_losses`` is the winning restart's loss after each sweep, then its
     final loss: ``loss``, the mean-per-object objective of (loading,
-    centroids) on the training data. ``iterations`` counts the sweeps.
+    centroids) on the training data. ``iterations`` counts the sweeps. The
+    final loss is always a double; an earlier sweep's loss too large for
+    one is recorded as inf.
     """
 
     loading: LoadingMatrix

@@ -319,29 +319,43 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
     assert repairs, "no input exercised the empty-cluster repair"
 
 
-def test_fit_is_the_best_width_one_run_at_every_batch_width(monkeypatch):
-    # fit_rkm batches its restarts; at any batch width it must return the
-    # lowest-loss restart of lone runs, ties going to the smallest index
-    from rkmeans import _kernels, solver
+@pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
+def test_fit_is_the_best_width_one_run_at_every_batch_width(held, monkeypatch):
+    # both solvers batch their restarts; at any batch width each must return
+    # the lowest-loss restart of lone runs, ties going to the smallest index
+    from rkmeans import _kernels
 
     ties = 0
-    for case, x, k, q, cap, R in _small_grid_cases(9):
+    for case, x, k, q, cap, R in _small_grid_cases(9 + held):
         X = DataMatrix(x)
         config = SolverConfig(k=k, q=q, restarts=R, seed=case)
         monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
-        a0 = solver._starts(config, _kernels.principal_axes(x, q), range(R))
-        lone = [_kernels.sweep_restarts(x, a0[r:r + 1], k, [rng], cap)[0]
-                for r, rng in enumerate(_seeding_streams(case, R))]
-        losses = [trace[-1] for _, _, _, trace in lone]
+        streams = _seeding_streams(case, R)
+        if held:
+            # (centers, labels, loss, iterations) of each lone Lloyd run
+            lone = [_kernels.lloyd_single(x, k, rng, cap) for rng in streams]
+            losses = [loss for _, _, loss, _ in lone]
+        else:
+            a0 = _batch_loadings(held, case, x, k, q, R)
+            lone = [_kernels.sweep_restarts(x, a0[r:r + 1], k, [rng], cap)[0]
+                    for r, rng in enumerate(streams)]
+            losses = [trace[-1] for _, _, _, trace in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
-        a, f, labels, trace = lone[best]
         for width in (1, 2, R):
             monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
+            where = f"case {case}, width {width}"
+            if held:
+                centers, labels, loss, _ = lone[best]
+                sol = kmeans_fit(X, k, restarts=R, seed=case)
+                assert repr(sol.loss) == repr(loss), where
+                assert sol.centers.tobytes() == centers.tobytes(), where
+                assert np.array_equal(sol.assignment.labels, labels), where
+                continue
+            a, f, labels, trace = lone[best]
             sol = fit_rkm(X, config)
             assert (sol.restart_index, repr(sol.loss), sol.sweep_losses, sol.iterations) == \
-                (best, repr(trace[-1]), tuple(trace), len(trace) - 1), \
-                f"case {case}, width {width}"
+                (best, repr(trace[-1]), tuple(trace), len(trace) - 1), where
             assert sol.loading.values.tobytes() == a.tobytes()
             assert sol.centroids.values.tobytes() == f.tobytes()
             assert np.array_equal(sol.assignment.labels, labels)
@@ -392,9 +406,9 @@ def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
         seen.clear()
         fit_rkm(X, SolverConfig(k=k, q=2, restarts=R, seed=seed))
         assert seen == want, f"fit_rkm, width {width}"
-    seen.clear()
-    kmeans_fit(X, k, restarts=R, seed=seed)
-    assert seen == want, "kmeans_fit"
+        seen.clear()
+        kmeans_fit(X, k, restarts=R, seed=seed)
+        assert seen == want, f"kmeans_fit, width {width}"
 
 
 def test_batch_width_splits_restarts_evenly_under_the_cap(monkeypatch):
@@ -484,6 +498,40 @@ def test_a_loss_past_the_largest_double_is_a_named_error(scale_data):
             kmeans_fit(X, 4, restarts=2)
         with pytest.raises(ValueError, match="loss overflows a double"):
             rkm_objective(X, rkm.loading, CentroidSet(rkm.centroids.values * scale))
+
+
+def _demo_draws():
+    """40 draws of bench-consistency's demo atoms: two clusters 0.2 wide at
+    x = +-1, so a restart's first sweep can cost about 100 times its final
+    loss."""
+    atoms = np.array([(1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1)])
+    return atoms[np.random.default_rng(0).integers(0, 4, 40)]
+
+
+def test_a_losing_sweep_past_the_largest_double_does_not_refuse_the_fit():
+    # at 2^513 every restart's final loss is a double, but restart 3's
+    # first sweeps are not; only the winner is scaled back, and only its
+    # final loss has to be a double
+    x = _demo_draws()
+    config = SolverConfig(k=2, q=1, restarts=10)
+    base = fit_rkm(DataMatrix(x), config)
+    sol = fit_rkm(DataMatrix(x * 2.0**513), config)
+    assert np.array_equal(sol.assignment.labels, base.assignment.labels)
+    assert sol.loss == base.loss * 2.0**513 * 2.0**513
+
+
+def test_an_earlier_sweep_past_the_largest_double_reads_inf():
+    from rkmeans import _kernels, solver
+    from rkmeans._seeds import spawn_rng
+
+    # restart 3 of the fit above, alone: its first two sweep losses are
+    # past the largest double once scaled back, its final loss is not
+    x = _demo_draws() * 2.0**513
+    config = SolverConfig(k=2, q=1, restarts=10)
+    a0 = solver._starts(config, _kernels.principal_axes(x, 1), range(10))
+    trace = _kernels.best_restart(x, a0[3:4], 2, [spawn_rng(0, 3)], 300)[4]
+    assert trace[:2] == [np.inf, np.inf]
+    assert np.isfinite(trace[-1]) and trace[-1] > 7e306
 
 
 def test_rkm_objective_takes_one_scale_of_x_and_centroids(scale_data):

