@@ -1,12 +1,12 @@
 """Array-level clustering kernels shared by the solvers.
 
 Everything here operates on plain writable ndarrays with no validation;
-the public wrappers in ``solver`` and ``baselines`` own the domain types.
-Plain k-means is reduced k-means with the loading held at the identity, so
-one sweep engine serves both. It runs a batch of restarts in lockstep on
-stacked arrays, because the replication experiments run tens of thousands
-of short restarts on one core and per-call overhead, not arithmetic, sets
-their time.
+the public wrappers (the solvers, the baselines, the scorers) own the
+domain types. Plain k-means is reduced k-means with the loading held at
+the identity, so one sweep engine serves both. It runs a batch of restarts
+in lockstep on stacked arrays, because the replication experiments run tens
+of thousands of short restarts on one core and per-call overhead, not
+arithmetic, sets their time.
 
 Layout rule: array passes run along the n objects, and the short k and q axes
 are looped in Python rather than reduced by numpy at its per-row overhead. The
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DegenerateDataError
 
 
 # a batch of restarts is capped so its width x n x k distance block stays
@@ -121,6 +123,31 @@ def nearest_sq(y: np.ndarray, f: np.ndarray) -> np.ndarray:
     (k x q), in the difference form: no cancellation, and 0.0 on a row of f."""
     d = y[:, None, :] - f[None, :, :]
     return np.sum(d * d, axis=2).min(axis=1)
+
+
+def weighted_loss(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> float:
+    """sum_i w_i min_j |x_i - a f_j|^2 for points x with weights w, a
+    column-orthonormal loading a and centroids f, at in_range's one scale of
+    x and f, scaled back. A sample weighs each of its n rows 1/n."""
+    x, f, e = in_range(x, f)
+    y = x @ a
+    sq = np.sum(x * x, axis=1) - np.sum(y * y, axis=1)
+    return scaled_loss(float(w @ (sq + nearest_sq(y, f))), e, x)
+
+
+def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> float:
+    """Weighted nearest projected distances over the weighted spread of the
+    projections x @ a about their weighted mean, at in_range's one scale of
+    x and f; unit weights give the sample's plain sums bit for bit. Raises
+    DegenerateDataError on a zero spread."""
+    x, f, _ = in_range(x, f)
+    y = x @ a
+    within = float(np.sum(w * nearest_sq(y, f)))
+    centered = y - np.sum(w[:, None] * y, axis=0) / np.sum(w)
+    total = float(np.sum(w[:, None] * (centered * centered)))
+    if total <= 0.0:
+        raise DegenerateDataError("the points project to a single point")
+    return within / total
 
 
 def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -107,6 +107,7 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     best grid value is within grid_gap = 2 R^2 pi / ANGLE_GRID of the true
     optimum over all directions. The search runs at ``_kernels.in_range``'s
     scale of the points; the loss, the gap and the centroids are scaled back.
+    A positive loss that scales back to 0.0 is a ValueError, not a fit.
     """
     atoms, weights = _as_atoms(target)
     if atoms.shape[1] != 2:
@@ -137,8 +138,12 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     km = kmeans_1d_exact(ts[g_best], k, weights=ws[g_best])
     radius = float(np.sqrt(np.sum(atoms * atoms, axis=1).max()))
     gap = 2.0 * radius * radius * np.pi / ANGLE_GRID
+    loss = _kernels.scaled_loss(float(losses[g_best]), e, atoms)
+    if loss == 0.0 < losses[g_best]:
+        top = math.ldexp(float(np.max(np.abs(atoms))), e)
+        raise ValueError(f"the loss underflows a double (the data reach {top!r})")
     return OracleSolution(
-        loss=_kernels.scaled_loss(float(losses[g_best]), e, atoms),
+        loss=loss,
         centroids=CentroidSet(np.ldexp(km.centers, e)),
         angle=float(angles[g_best]),
         grid_gap=_kernels.scaled_loss(gap, e, atoms),
@@ -243,30 +248,13 @@ class ConvergenceReport:
 
 def population_risk(pop: PopulationSpec, A: LoadingMatrix, F: CentroidSet) -> float:
     """Exact population loss of the parameters: the weighted mean over atoms
-    of the squared distance to the nearest subspace centroid, taken at
-    ``_kernels.in_range``'s one scale of the atoms and F and scaled back."""
+    of the squared distance to the nearest subspace centroid:
+    ``_kernels.weighted_loss`` of the atoms at their probabilities."""
     if A.p != pop.p:
         raise ValueError(f"loading has p={A.p} but population has p={pop.p}")
     if A.q != F.q:
         raise ValueError(f"loading has q={A.q} but centroids have q={F.q}")
-    atoms, f, e = _kernels.in_range(pop.atoms, F.values)
-    t = atoms @ A.values
-    sq = np.sum(atoms * atoms, axis=1) - np.sum(t * t, axis=1)
-    return _kernels.scaled_loss(float(pop.weights @ (sq + _kernels.nearest_sq(t, f))), e, atoms)
-
-
-def _population_vr(pop: PopulationSpec, opt: OracleSolution) -> float:
-    """Variance-ratio value of the population at the oracle optimum, a ratio
-    taken at ``_kernels.in_range``'s one scale of the atoms and centroids."""
-    atoms, f, _ = _kernels.in_range(pop.atoms, opt.centroids.values)
-    t = atoms @ opt.loading.values
-    within = float(pop.weights @ _kernels.nearest_sq(t, f))
-    mean = pop.weights @ t
-    centered = t - mean
-    total = float(pop.weights @ np.sum(centered * centered, axis=1))
-    if total <= 0.0:
-        raise DegenerateDataError("population projects to a single point")
-    return within / total
+    return _kernels.weighted_loss(pop.atoms, pop.weights, A.values, F.values)
 
 
 def check_distinctness(pop: PopulationSpec, k: int) -> tuple:
@@ -325,7 +313,8 @@ def consistency_experiment(
     optimum = check_distinctness(pop, k)[-1]
     oracle_vr = None
     try:
-        oracle_vr = _population_vr(pop, optimum)
+        oracle_vr = _kernels.weighted_vr(pop.atoms, pop.weights, optimum.loading.values,
+                                         optimum.centroids.values)
     except DegenerateDataError:
         pass
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _kernels
 from ._seeds import spawn_seed
-from .errors import DegenerateDataError
 from .solver import SolverConfig, fit_rkm
 from .types import DataMatrix, RkmSolution
 
@@ -46,19 +45,12 @@ class VrProfile:
 
 def vr_hat(X: DataMatrix, sol: RkmSolution) -> float:
     """Projected within-cluster SSE over projected total SSE about the
-    projected sample mean. Both sums use the same normalization, so the
-    ratio is scale- and normalization-free, and it is taken at
-    ``_kernels.in_range``'s scale of X and the centroids."""
+    projected sample mean: ``_kernels.weighted_vr`` with unit weights. Both
+    sums use the same normalization, so the ratio is scale- and
+    normalization-free."""
     if sol.loading.p != X.p:
         raise ValueError(f"solution has p={sol.loading.p} but data has p={X.p}")
-    x, f, _ = _kernels.in_range(X.values, sol.centroids.values)
-    y = x @ sol.loading.values
-    within = float(_kernels.nearest_sq(y, f).sum())
-    centered = y - y.mean(axis=0)
-    total = float(np.sum(centered * centered))
-    if total <= 0.0:
-        raise DegenerateDataError("all projected observations are identical")
-    return within / total
+    return _kernels.weighted_vr(X.values, np.ones(X.n), sol.loading.values, sol.centroids.values)
 
 
 def delta2_profile(vr: dict) -> dict:

@@ -94,7 +94,7 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     # two solvers are restart-for-restart comparable when q == p; the
     # loading draw gets its own stream to keep that alignment
     r, a, f, labels, trace = _kernels.best_restart(
-        x, _starts(config, pca_a, range(config.restarts)), config.k,
+        x, _starts(config, pca_a), config.k,
         [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,
     )
     return RkmSolution(
@@ -106,16 +106,15 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     )
 
 
-def _starts(config: SolverConfig, pca_a: np.ndarray, restarts: range) -> np.ndarray:
-    """Stacked starting loadings of the given restarts: restart 0 from the
+def _starts(config: SolverConfig, pca_a: np.ndarray) -> np.ndarray:
+    """Stacked starting loadings of every restart: restart 0 from the
     principal axes pca_a, later ones from the polar factor of their own
     stream's Gaussian."""
     g = [spawn_rng(config.seed, r, 1).standard_normal(pca_a.shape) if r else pca_a
-         for r in restarts]
+         for r in range(config.restarts)]
     u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
     a0 = u @ vh
-    if restarts[0] == 0:
-        a0[0] = pca_a  # its slot in the stacked SVD only held a place
+    a0[0] = pca_a  # its slot in the stacked SVD only held a place
     return a0
 
 

@@ -178,19 +178,10 @@ def _check_shapes(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> None:
 
 
 def rkm_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> float:
-    """Mean-per-object reduced k-means loss ``(1/n) sum_i min_j |x_i - A f_j|^2``.
-
-    Because A is column-orthonormal the residual splits into an orthogonal
-    part and a projected part, so the minimum over centroids is taken on the
-    q-dimensional projections. The sums run at ``_kernels.in_range``'s one
-    scale of X and F, so a loss past the largest double is a ValueError.
-    """
+    """Mean-per-object reduced k-means loss ``(1/n) sum_i min_j |x_i - A f_j|^2``,
+    ``_kernels.weighted_loss`` at weights 1/n: past a double it is a ValueError."""
     _check_shapes(X, A, F)
-    x, f, e = _kernels.in_range(X.values, F.values)
-    y = x @ A.values
-    ortho = np.sum(x * x) - np.sum(y * y)
-    d = _kernels.sq_distances(y, f)
-    return _kernels.scaled_loss(float((ortho + np.sum(d.min(axis=1))) / X.n), e, x)
+    return _kernels.weighted_loss(X.values, np.full(X.n, 1.0 / X.n), A.values, F.values)
 
 
 def assigned_objective(X: DataMatrix, A: LoadingMatrix, F: CentroidSet, U: Assignment) -> float:

@@ -117,6 +117,34 @@ def test_nearest_sq_is_the_scorers_difference_form_bitwise():
     assert ties > 500, "too few tied rows"
 
 
+def test_weighted_vr_with_unit_weights_is_the_plain_ratio_bitwise():
+    # the sample's ratio is the weighted one at unit weights: within-cluster
+    # sum of nearest distances over the flat sum of squares about y.mean
+    rng = np.random.default_rng(4)
+    zeros = 0
+    for q in range(1, 8):
+        for kind in ("normal", "grid", "duplicates"):
+            n, p = int(rng.integers(q + 1, 60)), q + int(rng.integers(0, 4))
+            k = int(rng.integers(1, 9))
+            if kind == "normal":
+                x, f = rng.standard_normal((n, p)), rng.standard_normal((k, q))
+            else:
+                x = rng.integers(-2, 3, (n, p)).astype(float)
+                f = rng.integers(-2, 3, (k, q)).astype(float)
+            u, _, vh = np.linalg.svd(rng.standard_normal((p, q)), full_matrices=False)
+            a = u @ vh
+            if kind == "duplicates":
+                x[n // 2:] = x[:n - n // 2]
+                f = (x @ a)[rng.integers(0, n, k)]
+            y = x @ a
+            centered = y - y.mean(axis=0)
+            plain = float(_kernels.nearest_sq(y, f).sum()) / float(np.sum(centered * centered))
+            got = _kernels.weighted_vr(x, np.ones(n), a, f)
+            assert np.float64(got).tobytes() == np.float64(plain).tobytes(), (q, kind)
+            zeros += int(np.sum(_kernels.nearest_sq(y, f) == 0.0))
+    assert zeros > 20, "too few rows on a centroid to pin the exact zeros"
+
+
 def test_stacked_polar_is_the_row_major_product_bitwise():
     # M = (UF)'X must sum as the product over the row-major gather (w, n, q)
     rng = np.random.default_rng(2)
@@ -164,15 +192,14 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
         n, p = int(rng.integers(2, 120)), int(rng.integers(1, 9))
         q, k = int(rng.integers(1, p + 1)), int(rng.integers(1, min(n, 8) + 1))
         x = rng.standard_normal((n, p))
-        first, count = int(rng.integers(0, 3)), int(rng.integers(1, 9))
-        config = SolverConfig(k=k, q=q, restarts=first + count, seed=case)
+        config = SolverConfig(k=k, q=q, restarts=int(rng.integers(1, 11)), seed=case)
         pca_a = _kernels.principal_axes(x, q)
-        restarts = range(first, first + count)
-        a0 = solver._starts(config, pca_a, restarts)
+        restarts = range(config.restarts)
+        a0 = solver._starts(config, pca_a)
         seeded.clear()
         _kernels.sweep_restarts(x, a0, k, [spawn_rng(case, r) for r in restarts], 1)
-        assert len(seeded) == count, f"case {case}"
-        for j, r in enumerate(restarts):
+        assert len(a0) == len(seeded) == config.restarts, f"case {case}"
+        for r in restarts:
             if r == 0:
                 a = pca_a
             else:
@@ -180,5 +207,5 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
                                          full_matrices=False)
                 a = u @ vh
             f = seed_centers(x @ a, k, spawn_rng(case, r))
-            assert a0[j].tobytes() == a.tobytes(), f"case {case}, restart {r}"
-            assert seeded[j].tobytes() == f.tobytes(), f"case {case}, restart {r}"
+            assert a0[r].tobytes() == a.tobytes(), f"case {case}, restart {r}"
+            assert seeded[r].tobytes() == f.tobytes(), f"case {case}, restart {r}"

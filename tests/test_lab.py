@@ -35,13 +35,13 @@ from rkmeans import (
     oracle_global_min,
     population_risk,
     rate_bound,
+    rkm_objective,
     select_dimension,
     vr_hat,
 )
-from rkmeans import lab, selection
+from rkmeans import _kernels, lab, selection
 from rkmeans._seeds import spawn_rng, spawn_seed
 from rkmeans.baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
-from rkmeans.lab import _population_vr
 
 
 def _assert_same_fit(a, b):
@@ -55,6 +55,12 @@ def _assert_same_fit(a, b):
 def four_atom_pop() -> PopulationSpec:
     atoms = np.array([[1.0, 0.1], [1.0, -0.1], [-1.0, 0.1], [-1.0, -0.1]])
     return PopulationSpec(atoms=atoms, weights=np.full(4, 0.25))
+
+
+def population_vr(pop: PopulationSpec, sol) -> float:
+    """The shared weighted variance ratio of the population at a solution's
+    loading and centroids, as consistency_experiment takes its oracle_vr."""
+    return _kernels.weighted_vr(pop.atoms, pop.weights, sol.loading.values, sol.centroids.values)
 
 
 class TestPopulationSpec:
@@ -144,6 +150,21 @@ class TestOracle:
         assert np.array_equal(opt.centroids.values, base.centroids.values * 2.0**514)
         with pytest.raises(ValueError, match="loss overflows a double"):
             oracle_global_min(PopulationSpec(pop.atoms * 1e160, pop.weights), k=2)
+
+    def test_a_loss_below_the_smallest_double_is_a_named_error(self):
+        # times 1e-170 both optima (1.01e-340 and 1e-342) scale back to 0.0,
+        # which would pass for an exact fit, and the distinctness check would
+        # refuse the population as not strictly decreasing; a loss that is
+        # exactly zero at the search's scale stays 0.0
+        pop = four_atom_pop()
+        tiny = PopulationSpec(pop.atoms * 1e-170, pop.weights)
+        named = r"loss underflows a double \(the data reach 1e-170\)"
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=named):
+                oracle_global_min(tiny, k)
+        with pytest.raises(ValueError, match="loss underflows a double"):
+            consistency_experiment(tiny, k=2, q=1, n_grid=(20,), reps=1)
+        assert oracle_global_min(PopulationSpec([[2e-170, 0.0]], [1.0]), k=1).loss == 0.0
 
     def test_argument_validation(self):
         pop = four_atom_pop()
@@ -251,10 +272,39 @@ class TestPopulationRisk:
         with pytest.raises(ValueError, match="q=1 but centroids have q=2"):
             population_risk(pop, A, CentroidSet(np.array([[-1.0, 0.0], [1.0, 0.0]])))
 
+    def test_a_sample_is_the_population_with_weights_one_over_n(self):
+        # rkm_objective and population_risk are one weighted loss; ties and
+        # duplicate rows put points exactly on a centroid or between two
+        rng = np.random.default_rng(8)
+        for case in range(60):
+            n, p = int(rng.integers(2, 50)), int(rng.integers(1, 6))
+            q, k = int(rng.integers(1, p + 1)), int(rng.integers(1, 7))
+            if case % 3 == 0:
+                x = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4)
+            else:
+                x = rng.integers(-2, 3, (n, p)).astype(float)
+                x[n // 2:] = x[:n - n // 2]
+            if case % 2:
+                sol = fit_rkm(DataMatrix(x), SolverConfig(k=min(k, n), q=q, restarts=2, seed=case))
+                A, F = sol.loading, sol.centroids
+            else:
+                u, _, vh = np.linalg.svd(rng.standard_normal((p, q)), full_matrices=False)
+                A = LoadingMatrix(u @ vh)
+                F = CentroidSet((x @ A.values)[rng.integers(0, n, k)])
+            sample = rkm_objective(DataMatrix(x), A, F)
+            assert sample == population_risk(PopulationSpec(x, np.full(n, 1 / n)), A, F), case
+
+    def test_oracle_vr_is_the_shared_ratio_at_the_optimum(self):
+        pop = PopulationSpec([[-2.0, 0.5], [-1.0, -0.3], [0.2, 0.1], [1.4, 0.6], [2.5, -0.4]],
+                             [0.1, 0.3, 0.2, 0.25, 0.15])
+        report = consistency_experiment(pop, k=2, q=1, n_grid=(10,), reps=1, restarts=2)
+        vr = population_vr(pop, oracle_global_min(pop, k=2))
+        assert report.oracle_vr == vr and vr > 0.0
+
     def test_population_vr_is_zero_at_the_optimum(self):
         pop = four_atom_pop()
         opt = oracle_global_min(pop, k=2)
-        assert _population_vr(pop, opt) == 0.0
+        assert population_vr(pop, opt) == 0.0
 
     def test_population_vr_degenerate_projection(self):
         pop = PopulationSpec(np.array([[0.0, 1.0], [0.0, 2.0]]), [0.5, 0.5])
@@ -265,7 +315,7 @@ class TestPopulationRisk:
             grid_gap=0.0,
         )
         with pytest.raises(DegenerateDataError, match="single point"):
-            _population_vr(pop, fake)
+            population_vr(pop, fake)
 
     def test_scorers_run_at_one_scale(self):
         # atoms and centroids past the range of their squares: at 2^514 the
@@ -281,12 +331,12 @@ class TestPopulationRisk:
                     dataclasses.replace(sol, centroids=centroids))
 
         for sol in (opt, dataclasses.replace(opt, angle=0.1)):
-            vr = _population_vr(pop, sol)
+            vr = population_vr(pop, sol)
             big_pop, big = scaled(sol, 2.0**514)
             assert population_risk(big_pop, sol.loading, big.centroids) == \
                 math.ldexp(population_risk(pop, sol.loading, sol.centroids), 2 * 514)
-            assert _population_vr(big_pop, big) == vr
-            assert _population_vr(*scaled(sol, 1e-170)) == pytest.approx(vr, rel=1e-12, abs=0.0)
+            assert population_vr(big_pop, big) == vr
+            assert population_vr(*scaled(sol, 1e-170)) == pytest.approx(vr, rel=1e-12, abs=0.0)
 
 
 class TestCheckDistinctness:

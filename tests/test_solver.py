@@ -278,7 +278,7 @@ def _batch_loadings(held, case, x, k, q, R):
     if held:
         return None
     config = SolverConfig(k=k, q=q, restarts=R, seed=case)
-    return solver._starts(config, _kernels.principal_axes(x, q), range(R))
+    return solver._starts(config, _kernels.principal_axes(x, q))
 
 
 def _seeding_streams(case, R):
@@ -528,7 +528,7 @@ def test_an_earlier_sweep_past_the_largest_double_reads_inf():
     # past the largest double once scaled back, its final loss is not
     x = _demo_draws() * 2.0**513
     config = SolverConfig(k=2, q=1, restarts=10)
-    a0 = solver._starts(config, _kernels.principal_axes(x, 1), range(10))
+    a0 = solver._starts(config, _kernels.principal_axes(x, 1))
     trace = _kernels.best_restart(x, a0[3:4], 2, [spawn_rng(0, 3)], 300)[4]
     assert trace[:2] == [np.inf, np.inf]
     assert np.isfinite(trace[-1]) and trace[-1] > 7e306

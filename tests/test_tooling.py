@@ -60,7 +60,7 @@ def test_traced_fits_keep_the_hooks_firing():
         # looked up on the package, where the tracer rebinds them
         sol = rkmeans.fit_rkm(X, SolverConfig(k=3, q=2, restarts=7, seed=1))
         rkmeans.kmeans_fit(X, 3, restarts=4, seed=2)
-        rkmeans.rkm_objective(X, sol.loading, sol.centroids)
+        rkmeans._kernels.sq_distances(X.values @ sol.loading.values, sol.centroids.values)
         rkmeans._kernels.lloyd_single(X.values, 3, np.random.default_rng(5),
                                       _kernels.MAX_ITERATIONS)
     finally:

@@ -99,6 +99,10 @@ COMMANDS = [
     # a losing restart's first sweeps cost past the largest double, the winner's
     # final loss does not
     ("fit-demo-2p513", "fit --input demo-2p513.csv --clusters 2 --dims 1 --restarts 10"),
+    # the demo atoms so small that every optimal loss is below the smallest
+    # double: the oracle names the underflow
+    ("consistency-atoms-1e-170", "bench-consistency --atoms atoms-1e-170.csv --n-grid 20"
+                                 " --reps 1"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
@@ -110,7 +114,7 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
-    files that only the csv.reader walk reads or refuses, four atom sets
+    files that only the csv.reader walk reads or refuses, five atom sets
     for bench-consistency and 40 draws of its demo atoms times 2^513."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
@@ -125,7 +129,7 @@ def write_fixtures(work: str) -> None:
     put("atoms5.csv", ["x,y", "-2,0.5", "-1,-0.3", "0.2,0.1", "1.4,0.6", "2.5,-0.4"])
     put("atoms8.csv", [f"{i - 3.5},{(-1) ** i * 0.25 * (i % 3)}" for i in range(8)])
     demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
-    for name, scale in (("2p511", 2.0**511), ("1e160", 1e160)):
+    for name, scale in (("2p511", 2.0**511), ("1e160", 1e160), ("1e-170", 1e-170)):
         put(f"atoms-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in demo)])
     draws = (demo[int(i)] for i in DEMO_DRAWS)
     put("demo-2p513.csv", ["x,y", *(f"{x * 2.0**513!r},{y * 2.0**513!r}" for x, y in draws)])
