@@ -8,7 +8,7 @@ tandem), variance-ratio dimension selection, evaluation metrics, a synthetic
 benchmark generator, and a small laboratory for replicated consistency
 experiments with a certified brute-force oracle.
 """
-from .baselines import KmeansSolution, kmeans_1d_exact, kmeans_fit, pca_fit, tandem_fit
+from .baselines import kmeans_1d_exact, kmeans_fit, pca_fit, tandem_fit
 from .datagen import DatasetSpec, GeneratedDataset, generate_dataset, normalize_columns
 from .errors import CsvParseError, DegenerateDataError
 from .io import (
@@ -69,7 +69,6 @@ __all__ = [
     "DatasetSpec",
     "DegenerateDataError",
     "GeneratedDataset",
-    "KmeansSolution",
     "LoadingMatrix",
     "OracleSolution",
     "PopulationSpec",

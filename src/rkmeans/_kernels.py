@@ -59,6 +59,26 @@ def scaled_loss(loss: float, e: int, x: np.ndarray) -> float:
         raise ValueError(f"the loss overflows a double (the data reach {top!r})") from None
 
 
+def reported_loss(loss: float, e: int, x: np.ndarray) -> float:
+    """scaled_loss of a loss that a fit, a scorer or the oracle reports: a
+    positive loss that scales back to 0.0 is a ValueError too."""
+    scaled = scaled_loss(loss, e, x)
+    if scaled == 0.0 < loss:
+        top = math.ldexp(float(np.max(np.abs(x))), e)
+        raise ValueError(f"the loss underflows a double (the data reach {top!r})")
+    return scaled
+
+
+def scaled_fit(f: np.ndarray, trace, e: int, x: np.ndarray) -> tuple:
+    """(f * 2^e, trace * 4^e): the centroids and loss trace of a fit to the
+    data 2^e * x, from those of the fit to the x that in_range returned. The
+    final loss goes through reported_loss; an earlier sweep's loss past the
+    largest double reads inf."""
+    with np.errstate(over="ignore"):
+        sweeps = np.ldexp(trace[:-1], 2 * e).tolist()
+    return np.ldexp(f, e), [*sweeps, reported_loss(trace[-1], e, x)]
+
+
 def batch_width(n: int, k: int, restarts: int) -> int:
     """How many restarts to run in lockstep on an n-row input with k clusters:
     the fewest batches the cap allows, with the restarts split evenly over
@@ -132,7 +152,7 @@ def weighted_loss(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) ->
     x, f, e = in_range(x, f)
     y = x @ a
     sq = np.sum(x * x, axis=1) - np.sum(y * y, axis=1)
-    return scaled_loss(float(w @ (sq + nearest_sq(y, f))), e, x)
+    return reported_loss(float(w @ (sq + nearest_sq(y, f))), e, x)
 
 
 def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> float:
@@ -409,9 +429,7 @@ def best_restart(
     it at the identity). The restarts run in batch_width's batches on
     in_range's scale of x. The winner has the lowest final loss at that
     scale, ties to the smallest index. Returns (r, a, f, labels, trace) of
-    the winner, whose f and trace alone are scaled back: a final loss past
-    the largest double is scaled_loss's ValueError, an earlier sweep's
-    reads inf."""
+    the winner, whose f and trace alone are scaled back by scaled_fit."""
     x, e = in_range(x)
     width = batch_width(x.shape[0], k, len(rngs))
     best = None
@@ -423,11 +441,7 @@ def best_restart(
             if best is None or result[3][-1] < best[4][-1]:
                 best = (r, *result)
     r, a, f, labels, trace = best
-    if e:
-        with np.errstate(over="ignore"):
-            sweeps = np.ldexp(trace[:-1], 2 * e).tolist()
-        trace = [*sweeps, scaled_loss(trace[-1], e, x)]
-        f = np.ldexp(f, e)
+    f, trace = scaled_fit(f, trace, e, x)
     return r, a, f, labels, trace
 
 

@@ -4,33 +4,14 @@ tandem pipeline (PCA then k-means on the leading scores).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import _kernels
-from ._seeds import spawn_rng
 from .errors import DegenerateDataError
-from .solver import SolverConfig
-from .types import Assignment, DataMatrix, LoadingMatrix, _frozen_array
-
-
-@dataclass(frozen=True)
-class KmeansSolution:
-    """A k-means fit: centers, hard assignment, and the mean within-cluster
-    squared distance (total form is loss * n)."""
-
-    centers: np.ndarray
-    assignment: Assignment
-    loss: float
-
-    def __post_init__(self):
-        centers = _frozen_array(self.centers)
-        if centers.ndim != 2:
-            raise ValueError(f"centers must be 2-D, got shape {centers.shape}")
-        if not self.loss >= 0:
-            raise ValueError(f"loss must be nonnegative, got {self.loss}")
-        object.__setattr__(self, "centers", centers)
+from .solver import SolverConfig, _solve
+from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
 
 
 def kmeans_fit(
@@ -38,26 +19,25 @@ def kmeans_fit(
     k: int,
     restarts: int = 30,
     seed: int = 0,
-) -> KmeansSolution:
+) -> RkmSolution:
     """Best of ``restarts`` Lloyd runs from k-means++ starts, each stopped by
     fit_rkm's rule (``_kernels.REL_TOLERANCE``) or after
-    ``_kernels.MAX_ITERATIONS`` sweeps: fit_rkm's driver with the loading held.
+    ``_kernels.MAX_ITERATIONS`` sweeps: fit_rkm's driver with the loading held
+    at the identity, which the solution carries.
 
     Each restart draws its RNG stream from (seed, restart index), so the
     winner is independent of execution order; loss ties keep the smallest
     restart index.
     """
-    k = int(k)
-    SolverConfig(k=k, q=X.p, restarts=restarts, seed=seed).validate_against(X)
-    _, _, centers, labels, trace = _kernels.best_restart(
-        np.asarray(X.values), None, k, [spawn_rng(seed, r) for r in range(restarts)],
-        _kernels.MAX_ITERATIONS,
-    )
-    return KmeansSolution(centers=centers, assignment=Assignment(labels, k), loss=trace[-1])
+    config = SolverConfig(k=int(k), q=X.p, restarts=restarts, seed=seed)
+    config.validate_against(X)
+    return _solve(X, config)
 
 
-def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
-    """Certified global optimum of 1-D k-means by dynamic programming.
+def kmeans_1d_exact(values, k: int, weights=None) -> RkmSolution:
+    """Certified global optimum of 1-D k-means by dynamic programming, as a
+    solution with the loading [[1.0]], restart_index 0 and the one-entry
+    trace (loss,): the DP has no restarts and no sweeps.
 
     ``values`` must be sorted ascending: every optimal 1-D clustering uses
     contiguous runs, so the DP over split points is exhaustive. The optional
@@ -102,7 +82,8 @@ def kmeans_1d_exact(values, k: int, weights=None) -> KmeansSolution:
         centers[j - 1, 0] = (cwv[i] - cwv[s]) / sw if sw > 0 else v[s]
         i = s
     loss = _kernels.scaled_loss(float(cost[0]) / float(w.sum()), e, v)
-    return KmeansSolution(np.ldexp(centers, e), Assignment(labels, k), loss)
+    return RkmSolution(LoadingMatrix(np.ones((1, 1))), CentroidSet(np.ldexp(centers, e)),
+                       Assignment(labels, k), 0, (loss,))
 
 
 def weighted_prefix_sums(ts: np.ndarray, ws: np.ndarray) -> tuple:
@@ -200,13 +181,11 @@ def tandem_fit(
     q: int,
     restarts: int = 30,
     seed: int = 0,
-) -> tuple[LoadingMatrix, KmeansSolution]:
+) -> tuple[LoadingMatrix, RkmSolution]:
     """Two-step pipeline: PCA loadings, then k-means on the centered scores,
     taken at ``_kernels.in_range``'s scale of X and scaled back."""
     A = pca_fit(X, q)
     x, e = _kernels.in_range(X.values)
     km = kmeans_fit(DataMatrix((x - x.mean(axis=0)) @ A.values), k, restarts=restarts, seed=seed)
-    if e:
-        loss = _kernels.scaled_loss(km.loss, e, x)
-        km = KmeansSolution(np.ldexp(km.centers, e), km.assignment, loss)
-    return A, km
+    f, trace = _kernels.scaled_fit(km.centroids.values, km.sweep_losses, e, x)
+    return A, replace(km, centroids=CentroidSet(f), sweep_losses=trace)

@@ -218,9 +218,16 @@ def _emit(args, solution, timing=None, truth=None, assignment=None, **overrides)
     return 0
 
 
+def _log_fit(sol) -> None:
+    """The RKM_LOG=info line of every fit: its loss, sweeps and winning restart."""
+    log.info("fit loss %.6g after %d sweeps (restart %d)",
+             sol.loss, sol.iterations, sol.restart_index)
+
+
 def _kmeans_payload(km) -> dict:
-    """A k-means fit's centers, labels and loss, as kmeans and tandem report them."""
-    return {"centers": matrix_payload(km.centers),
+    """A k-means fit's centers, labels and loss, as kmeans and tandem log and report them."""
+    _log_fit(km)
+    return {"centers": matrix_payload(km.centroids.values),
             "labels": [int(v) for v in km.assignment.labels], "loss": km.loss}
 
 
@@ -230,8 +237,7 @@ def _cmd_fit(args) -> int:
     X, truth = _load_input(args)
     config = SolverConfig(k=args.clusters, q=args.dims, restarts=args.restarts, seed=args.seed)
     sol, timing = _timed(fit_rkm, X, config)
-    log.info("fit loss %.6g after %d sweeps (restart %d)",
-             sol.loss, sol.iterations, sol.restart_index)
+    _log_fit(sol)
     _emit(args, {
         "loading": matrix_payload(sol.loading.values, order="column"),
         "centroids": matrix_payload(sol.centroids.values),

@@ -138,13 +138,9 @@ def oracle_global_min(target, k: int) -> OracleSolution:
     km = kmeans_1d_exact(ts[g_best], k, weights=ws[g_best])
     radius = float(np.sqrt(np.sum(atoms * atoms, axis=1).max()))
     gap = 2.0 * radius * radius * np.pi / ANGLE_GRID
-    loss = _kernels.scaled_loss(float(losses[g_best]), e, atoms)
-    if loss == 0.0 < losses[g_best]:
-        top = math.ldexp(float(np.max(np.abs(atoms))), e)
-        raise ValueError(f"the loss underflows a double (the data reach {top!r})")
     return OracleSolution(
-        loss=loss,
-        centroids=CentroidSet(np.ldexp(km.centers, e)),
+        loss=_kernels.reported_loss(float(losses[g_best]), e, atoms),
+        centroids=CentroidSet(np.ldexp(km.centroids.values, e)),
         angle=float(angles[g_best]),
         grid_gap=_kernels.scaled_loss(gap, e, atoms),
     )

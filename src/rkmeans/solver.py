@@ -88,17 +88,20 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     minimizer.
     """
     config.validate_against(X)
-    x = np.asarray(X.values)
-    pca_a = _kernels.principal_axes(x, config.q)
-    # the centroid-seeding stream matches the plain k-means baseline so the
-    # two solvers are restart-for-restart comparable when q == p; the
-    # loading draw gets its own stream to keep that alignment
+    return _solve(X, config, _starts(config, _kernels.principal_axes(X.values, config.q)))
+
+
+def _solve(X: DataMatrix, config: SolverConfig, a0: np.ndarray | None = None) -> RkmSolution:
+    """best_restart on X as a solution, from the stacked starting loadings
+    a0, or with the loading held at the identity if a0 is None. Both solvers
+    seed restart r's centroids from the stream (seed, r), so they match
+    restart for restart when q == p; a loading draw has its own stream."""
     r, a, f, labels, trace = _kernels.best_restart(
-        x, _starts(config, pca_a), config.k,
+        X.values, a0, config.k,
         [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,
     )
     return RkmSolution(
-        loading=LoadingMatrix(a),
+        loading=LoadingMatrix(np.eye(X.p) if a is None else a),
         centroids=CentroidSet(f),
         assignment=Assignment(labels, config.k),
         restart_index=r,

@@ -436,11 +436,36 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: the loss overflows a double"), err
 
+    def test_loss_below_the_smallest_double(self, blob_dir, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        write_matrix_csv(path, load_csv(blob_dir / "blobs.csv").values * 1e-170)
+        for command in (["kmeans"], ["tandem", "--dims", "1"], ["fit", "--dims", "1"]):
+            args = [*command, "--input", str(path), "--clusters", "2", "--restarts", "2"]
+            assert main(args) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: the loss underflows a double"), err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("rkm ")
+
+
+def test_every_fit_command_logs_its_fit(blob_dir, capsys, caplog):
+    # fit, kmeans and tandem all say, at info, what their winning restart did
+    import logging
+
+    for command in (["fit", "--dims", "1"], ["kmeans"], ["tandem", "--dims", "1"]):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="rkm"):
+            assert main([*command, "--input", str(blob_dir / "blobs.csv"),
+                         "--clusters", "2", "--restarts", "3"]) == 0
+        loss = json.loads(capsys.readouterr().out)["solution"]["loss"]
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit loss")]
+        assert len(lines) == 1, command
+        assert lines[0].startswith(f"fit loss {loss:.6g} after "), lines
+        assert lines[0].endswith(")") and "sweeps (restart " in lines[0], lines
 
 
 class TestLoggingEnv:

@@ -330,35 +330,25 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(held, monkeypatch):
         X = DataMatrix(x)
         config = SolverConfig(k=k, q=q, restarts=R, seed=case)
         monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
-        streams = _seeding_streams(case, R)
-        if held:
-            # (centers, labels, loss, iterations) of each lone Lloyd run
-            lone = [_kernels.lloyd_single(x, k, rng, cap) for rng in streams]
-            losses = [loss for _, _, loss, _ in lone]
-        else:
-            a0 = _batch_loadings(held, case, x, k, q, R)
-            lone = [_kernels.sweep_restarts(x, a0[r:r + 1], k, [rng], cap)[0]
-                    for r, rng in enumerate(streams)]
-            losses = [trace[-1] for _, _, _, trace in lone]
+        a0 = _batch_loadings(held, case, x, k, q, R)
+        # (a, f, labels, trace) of each lone run; a is None for Lloyd's
+        lone = [_kernels.sweep_restarts(x, None if held else a0[r:r + 1], k, [rng], cap)[0]
+                for r, rng in enumerate(_seeding_streams(case, R))]
+        losses = [trace[-1] for _, _, _, trace in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
+        a, f, labels, trace = lone[best]
+        if held:
+            a = np.eye(x.shape[1])  # the loading k-means holds
         for width in (1, 2, R):
             monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
             where = f"case {case}, width {width}"
-            if held:
-                centers, labels, loss, _ = lone[best]
-                sol = kmeans_fit(X, k, restarts=R, seed=case)
-                assert repr(sol.loss) == repr(loss), where
-                assert sol.centers.tobytes() == centers.tobytes(), where
-                assert np.array_equal(sol.assignment.labels, labels), where
-                continue
-            a, f, labels, trace = lone[best]
-            sol = fit_rkm(X, config)
+            sol = kmeans_fit(X, k, restarts=R, seed=case) if held else fit_rkm(X, config)
             assert (sol.restart_index, repr(sol.loss), sol.sweep_losses, sol.iterations) == \
                 (best, repr(trace[-1]), tuple(trace), len(trace) - 1), where
-            assert sol.loading.values.tobytes() == a.tobytes()
-            assert sol.centroids.values.tobytes() == f.tobytes()
-            assert np.array_equal(sol.assignment.labels, labels)
+            assert sol.loading.values.tobytes() == a.tobytes(), where
+            assert sol.centroids.values.tobytes() == f.tobytes(), where
+            assert np.array_equal(sol.assignment.labels, labels), where
     assert ties, "no input had tied restart losses"
 
 
@@ -482,7 +472,7 @@ def test_both_solvers_fit_data_past_the_range_of_its_squares(scale_data, scale, 
         pytest.approx(unscaled * scale * scale, rel=rel, abs=0.0)
     assert vr_hat(X, scaled_rkm) == pytest.approx(vr_hat(DataMatrix(z), rkm), rel=rel, abs=0.0)
     if not rel:
-        assert np.array_equal(scaled_km.centers, km.centers * scale)
+        assert np.array_equal(scaled_km.centroids.values, km.centroids.values * scale)
         # restart 0's principal axes, too
         assert scaled_rkm.loading.values.tobytes() == rkm.loading.values.tobytes()
 
@@ -534,6 +524,30 @@ def test_an_earlier_sweep_past_the_largest_double_reads_inf():
     assert np.isfinite(trace[-1]) and trace[-1] > 7e306
 
 
+def test_a_loss_below_the_smallest_double_is_a_named_error():
+    # at 1e-170 every loss the fits and the scorers report is near 1e-342,
+    # below the smallest double; each names the underflow instead of
+    # reporting 0.0, which reads as an exact fit
+    from rkmeans import PopulationSpec, population_risk
+
+    x = _demo_draws()
+    X = DataMatrix(x * 1e-170)
+    named = r"loss underflows a double \(the data reach 1e-170\)"
+    with pytest.raises(ValueError, match=named):
+        fit_rkm(X, SolverConfig(k=2, q=1, restarts=3))
+    with pytest.raises(ValueError, match=named):
+        kmeans_fit(X, 2, restarts=3)
+    with pytest.raises(ValueError, match=named):
+        tandem_fit(X, 2, 1, restarts=3)
+    # the scorers, on the unit-scale fit's parameters scaled with the data
+    sol = fit_rkm(DataMatrix(x), SolverConfig(k=2, q=1, restarts=3))
+    F = CentroidSet(sol.centroids.values * 1e-170)
+    with pytest.raises(ValueError, match=named):
+        rkm_objective(X, sol.loading, F)
+    with pytest.raises(ValueError, match=named):
+        population_risk(PopulationSpec(X.values, np.full(X.n, 1 / X.n)), sol.loading, F)
+
+
 def test_rkm_objective_takes_one_scale_of_x_and_centroids(scale_data):
     # X far below its centroids' range: a scale taken from X alone would
     # lift the centroids by about 2^539 and overflow their squares
@@ -566,7 +580,9 @@ def test_tandem_fits_data_past_the_range_of_its_squares(scale_data):
         scaled_loading, scaled_km = tandem_fit(DataMatrix(z * scale), 4, 2, restarts=5)
         assert scaled_loading.values.tobytes() == loading.values.tobytes()
         assert np.array_equal(scaled_km.assignment.labels, km.assignment.labels)
-        assert np.array_equal(scaled_km.centers, km.centers * scale)
+        assert np.array_equal(scaled_km.centroids.values, km.centroids.values * scale)
         assert scaled_km.loss == km.loss * scale * scale
+        # the whole trace goes back by a power of two, each entry exactly
+        assert scaled_km.sweep_losses == tuple(v * scale * scale for v in km.sweep_losses)
     with pytest.raises(ValueError, match="loss overflows a double"):
         tandem_fit(DataMatrix(z * 1e307), 4, 2, restarts=2)

@@ -103,10 +103,14 @@ COMMANDS = [
     # double: the oracle names the underflow
     ("consistency-atoms-1e-170", "bench-consistency --atoms atoms-1e-170.csv --n-grid 20"
                                  " --reps 1"),
+    # a fit whose loss is below the smallest double names the underflow too
+    ("fit-demo-1e-170", "fit --input demo-1e-170.csv --clusters 2 --dims 1 --restarts 3"),
+    ("kmeans-log-info", "kmeans --input small.csv --clusters 3 --restarts 2"
+                        " --output km-logged.json", {"RKM_LOG": "info"}),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
-# demo-2p513.csv is
+# demo-2p513.csv and demo-1e-170.csv is
 DEMO_DRAWS = "3221100003232232222313201320323003020111"
 
 TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
@@ -115,7 +119,8 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
     files that only the csv.reader walk reads or refuses, five atom sets
-    for bench-consistency and 40 draws of its demo atoms times 2^513."""
+    for bench-consistency and 40 draws of its demo atoms times 2^513 and
+    times 1e-170."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
             fh.write("".join(line + "\n" for line in lines))
@@ -131,8 +136,9 @@ def write_fixtures(work: str) -> None:
     demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
     for name, scale in (("2p511", 2.0**511), ("1e160", 1e160), ("1e-170", 1e-170)):
         put(f"atoms-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in demo)])
-    draws = (demo[int(i)] for i in DEMO_DRAWS)
-    put("demo-2p513.csv", ["x,y", *(f"{x * 2.0**513!r},{y * 2.0**513!r}" for x, y in draws)])
+    draws = [demo[int(i)] for i in DEMO_DRAWS]
+    for name, scale in (("2p513", 2.0**513), ("1e-170", 1e-170)):
+        put(f"demo-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in draws)])
 
 
 def contents(work: str) -> dict:
