@@ -316,11 +316,14 @@ def sweep_restarts(
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
     Returns one (a, f, labels, trace) per restart. The trace holds each
-    sweep's loss, then the final one: the loss of the finalized labels.
-    Finalizing sets the labels to the nearest-center argmin for (a, f), ties
-    to the smallest index, and repairs any cluster that leaves empty; at a
-    fixed point it changes nothing. x must already be at in_range's scale;
-    f and the trace stay at it.
+    sweep's loss, then the final one: the loss of the finalized labels. A
+    sweep ends on a means step, so its loss is (|x|^2 - sum_j n_j |f_j|^2) / n
+    for cluster sizes n_j: with f_j the mean of its cluster's scores and
+    a'a = I, the projected sum of squares |xa|^2 cancels. Finalizing sets
+    the labels to the nearest-center argmin for (a, f), ties to the smallest
+    index, and repairs any cluster that leaves empty; at a fixed point it
+    changes nothing. x must already be at in_range's scale; f and the trace
+    stay at it.
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
@@ -331,7 +334,6 @@ def sweep_restarts(
     if held:
         # a zero-stride stack: the restarts share x and never copy it
         y = y_end = np.broadcast_to(x, (w, *x.shape))
-        sy = np.full(w, sx)
     else:
         # every x @ a goes here; a stacked product gives each restart the
         # bits of its own x @ a[r]
@@ -341,7 +343,7 @@ def sweep_restarts(
     f = np.stack([kmeans_pp_init(y[j], k, rng) for j, rng in enumerate(rngs)])
     if not held:
         f, labels, _ = _means_step(y, f, _row_sums(y * y))
-    f_end, sy_end = np.empty_like(f), np.empty(w)
+    f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
     prev = np.full(w, np.inf)
@@ -349,19 +351,11 @@ def sweep_restarts(
         if not held:
             a = _stacked_polar(x, labels, f)
             y = np.matmul(x, a, out=scores[:len(live)])
-            squares = y * y
-            # row sums of the flattened squares add in the order np.sum
-            # takes over one restart's n x q scores
-            sy = np.sum(squares.reshape(len(live), -1), axis=-1)
-            y_sq = _row_sums(squares)
-            del squares  # not held through the distance block
+            y_sq = _row_sums(y * y)
         f, labels, counts = _means_step(y, f, y_sq)
-        ff = _row_sums(f * f)
-        # one product per restart: a stacked one may sum in another order
-        within = np.array([counts[j] @ ff[j] for j in range(len(live))])
-        # orthogonal residual plus projected within-SS (ANOVA shortcut);
-        # clamped because the two big terms cancel on zero-loss data
-        loss = np.maximum((sx - sy + (sy - within)) / n, 0.0)
+        # the means-step identity; clamped, as the terms cancel at zero loss
+        within = _row_sums(counts * _row_sums(f * f))
+        loss = np.maximum((sx - within) / n, 0.0)
         for r, value in zip(live, loss.tolist()):
             traces[r].append(value)
         stop = np.isfinite(prev) & (
@@ -373,19 +367,21 @@ def sweep_restarts(
         if not stop.any():
             continue
         done = live[stop]
-        f_end[done], sy_end[done] = f[stop], sy[stop]
+        f_end[done] = f[stop]
         if not held:
             a_end[done] = a[stop]
         keep = ~stop
         if not keep.any():
             break
-        live, f, labels = live[keep], f[keep], labels[keep]
-        sy, prev = sy[keep], prev[keep]
+        live, f, labels, prev = live[keep], f[keep], labels[keep], prev[keep]
         if held:
             y = y[:len(live)]
 
     if not held:
         y_end = np.matmul(x, a_end, out=scores)
+    # row sums of the flattened squares add in the order np.sum takes over
+    # one restart's n x q scores
+    sy = np.sum((y_end * y_end).reshape(w, -1), axis=-1)
     nearest, low = _nearest(y_end, f_end)
     counts = _stacked_counts(nearest, f_end.shape[1])
     d_sums = low.sum(axis=-1)
@@ -393,7 +389,8 @@ def sweep_restarts(
     # restarts whose nearest-center labels leave a cluster empty
     for r in np.flatnonzero(np.any(counts == 0, axis=1)):
         labels[r], d_sums[r] = _finalize_repairs(y_end[r], f_end[r], nearest[r], counts[r])
-    loss = np.maximum((sx - sy_end + d_sums) / n, 0.0).tolist()
+    # orthogonal residual plus projected nearest distances
+    loss = np.maximum((sx - sy + d_sums) / n, 0.0).tolist()
     for r in range(w):
         traces[r].append(loss[r])
     return [(None if held else a_end[r], f_end[r], labels[r], traces[r]) for r in range(w)]

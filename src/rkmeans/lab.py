@@ -169,8 +169,8 @@ class ConvergenceReport:
     vr_values: dict
     population_risks: dict
     oracle_loss: float
-    oracle_vr: float | None = None
-    oracle_gap: float = 0.0
+    oracle_vr: float | None
+    oracle_gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))

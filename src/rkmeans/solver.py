@@ -8,7 +8,9 @@ One sweep updates, in order:
    followed by empty-cluster repair,
 3. the centroids as cluster means of the projected data XA,
 4. the loss, tracked per sweep; the run stops when its relative decrease
-   falls to ``_kernels.REL_TOLERANCE`` or below.
+   falls to ``_kernels.REL_TOLERANCE`` or below. After the means step it is
+   (|X|^2 - sum_j n_j |f_j|^2) / n for cluster sizes n_j, because A'A = I
+   and each f_j is the mean of its cluster's scores.
 
 Each step minimizes the assigned loss |X - UFA'|^2 / n in its own block, so
 the per-sweep loss trace is non-increasing.

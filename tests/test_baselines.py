@@ -241,6 +241,35 @@ def test_1d_exact_runs_at_one_scale():
         kmeans_1d_exact(np.array([-2.0, -1.0, 1.0, 3.0]) * 1e160, 2)
 
 
+def test_1d_exact_is_translation_safe():
+    # the sorted first column of a seed-0 Z, offset so far that the prefix
+    # sums of squares would round at the offset's square: the labels are
+    # the optimal cut and the loss is theirs, both to the docstring's
+    # n * eps * spread^2 of a shifted DP, scored in longdouble on the values
+    # less their middle one (an exact subtraction)
+    z = np.sort(generate_dataset(DatasetSpec(K=4, q=2, p1=2, p2=5, p3=5, n=300)).Z.values[:, 0])
+    n, eps = z.size, np.finfo(float).eps
+    # every cut into three runs [0, a), [a, b), [b, n)
+    a, b = np.triu_indices(n, 1)
+    a, b = a[a > 0], b[a > 0]
+    for offset in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        v = z + offset
+        c = v.astype(np.longdouble) - v[n // 2]
+        s1 = np.concatenate(([0.0], np.cumsum(c - c.mean())))
+        s2 = np.concatenate(([0.0], np.cumsum((c - c.mean()) ** 2)))
+
+        def sse(lo, hi):
+            return (s2[hi] - s2[lo]) - (s1[hi] - s1[lo]) ** 2 / (hi - lo)
+
+        optimum = np.min(sse(0, a) + sse(a, b) + sse(b, n)) / n
+        tol = n * eps * float(np.var(c))
+        sol = kmeans_1d_exact(v, 3)
+        labels = sol.assignment.labels
+        own = sum(np.sum((c[labels == j] - c[labels == j].mean()) ** 2) for j in range(3)) / n
+        assert abs(own - optimum) <= tol, offset
+        assert abs(sol.loss - own) <= tol, offset
+
+
 def test_kmeans_dominates_1d_oracle():
     hits = 0
     for s in range(100):

@@ -370,6 +370,8 @@ class TestConvergenceReport:
             vr_values={5: vr},
             population_risks={5: (0.1, 0.2)},
             oracle_loss=0.1,
+            oracle_vr=None,
+            oracle_gap=0.0,
         )
 
     def test_nan_vr_becomes_null_in_json(self):
@@ -389,6 +391,8 @@ class TestConvergenceReport:
                 vr_values={5: (0.5,)},
                 population_risks={5: (0.1,)},
                 oracle_loss=0.1,
+                oracle_vr=None,
+                oracle_gap=0.0,
             )
 
     def test_negative_loss_rejected(self):
@@ -400,6 +404,8 @@ class TestConvergenceReport:
                 vr_values={5: (0.5,)},
                 population_risks={5: (0.1,)},
                 oracle_loss=0.1,
+                oracle_vr=None,
+                oracle_gap=0.0,
             )
 
     def test_risk_below_certified_optimum_rejected(self):
@@ -411,20 +417,26 @@ class TestConvergenceReport:
                 vr_values={5: (0.5,)},
                 population_risks={5: (0.3,)},
                 oracle_loss=0.5,
+                oracle_vr=None,
                 oracle_gap=0.0,
             )
 
     def test_oracle_loss_is_required(self):
         # every report carries the certified optimum its risks are checked
-        # against; there is no unchecked report
-        with pytest.raises(TypeError, match="oracle_loss"):
-            ConvergenceReport(
-                n_grid=(5,),
-                losses={5: (0.1,)},
-                distances={5: (0.0,)},
-                vr_values={5: (0.5,)},
-                population_risks={5: (0.1,)},
-            )
+        # against, with the oracle's gap and variance ratio; there is no
+        # unchecked report and no default certificate
+        for missing in ("oracle_loss", "oracle_vr", "oracle_gap"):
+            oracle = {"oracle_loss": 0.1, "oracle_vr": None, "oracle_gap": 0.0}
+            del oracle[missing]
+            with pytest.raises(TypeError, match=missing):
+                ConvergenceReport(
+                    n_grid=(5,),
+                    losses={5: (0.1,)},
+                    distances={5: (0.0,)},
+                    vr_values={5: (0.5,)},
+                    population_risks={5: (0.1,)},
+                    **oracle,
+                )
 
     def test_csv_round_trip(self, tmp_path):
         report = self.make(vr=(float("nan"), 0.5))

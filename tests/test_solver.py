@@ -157,6 +157,42 @@ def test_sweep_losses_monotone_and_consistent():
         assert assigned == pytest.approx(sol.loss, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
+def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
+    # one restart replayed with this file's own steps: each sweep refits the
+    # loading (unless held), assigns, repairs an empty cluster as the engine
+    # does, and takes the means; every trace entry is the assigned loss of
+    # that sweep's (A, F, U), and the last one that of the final pair and
+    # its nearest-centroid labels
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_rng
+
+    def assign(X, A, F):
+        U = assign_clusters(X, A, F)
+        labels, counts = U.labels.copy(), U.cluster_sizes()
+        _kernels.repair_empty_clusters(X.values @ A.values, F.values.copy(), labels, counts)
+        return Assignment(labels, F.k)
+
+    for seed in range(8):
+        X = _blobs(seed)
+        a0 = np.eye(X.p) if held else _kernels.principal_axes(X.values, 2)
+        _, _, _, trace = _kernels.sweep_restarts(
+            X.values, None if held else a0[None], 3, [spawn_rng(seed, 0)], 300)[0]
+        A = LoadingMatrix(a0)
+        F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0)))
+        if not held:
+            U = assign(X, A, F)
+            F = _centroid_step(X, U, A)
+        for loss in trace[:-1]:
+            if not held:
+                A = _loading_step(X, U, F)
+            U = assign(X, A, F)
+            F = _centroid_step(X, U, A)
+            assert loss == pytest.approx(assigned_objective(X, A, F, U), rel=1e-12)
+        final = assigned_objective(X, A, F, assign_clusters(X, A, F))
+        assert trace[-1] == pytest.approx(final, rel=1e-12)
+
+
 def test_more_restarts_never_hurt():
     X = _blobs(9)
     small = fit_rkm(X, SolverConfig(k=3, q=2, restarts=3, seed=0))

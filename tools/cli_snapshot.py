@@ -107,6 +107,10 @@ COMMANDS = [
     ("fit-demo-1e-170", "fit --input demo-1e-170.csv --clusters 2 --dims 1 --restarts 3"),
     ("kmeans-log-info", "kmeans --input small.csv --clusters 3 --restarts 2"
                         " --output km-logged.json", {"RKM_LOG": "info"}),
+    # three distinct points for four clusters: every restart's finalize
+    # leaves a cluster empty under the argmin and takes the repair fallback
+    ("fit-dup-points", "fit --input dup.csv --clusters 4 --dims 1 --restarts 6"),
+    ("kmeans-dup-points", "kmeans --input dup.csv --clusters 4 --restarts 6"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
@@ -119,8 +123,8 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
     files that only the csv.reader walk reads or refuses, five atom sets
-    for bench-consistency and 40 draws of its demo atoms times 2^513 and
-    times 1e-170."""
+    for bench-consistency, 40 draws of its demo atoms times 2^513 and
+    times 1e-170, and 12 rows of three distinct points."""
     def put(name, lines):
         with open(os.path.join(work, name), "w", newline="") as fh:
             fh.write("".join(line + "\n" for line in lines))
@@ -139,6 +143,7 @@ def write_fixtures(work: str) -> None:
     draws = [demo[int(i)] for i in DEMO_DRAWS]
     for name, scale in (("2p513", 2.0**513), ("1e-170", 1e-170)):
         put(f"demo-{name}.csv", ["x,y", *(f"{x * scale!r},{y * scale!r}" for x, y in draws)])
+    put("dup.csv", ["x,y", *(("1,0", "0,2", "-1,-1") * 4)])
 
 
 def contents(work: str) -> dict:
