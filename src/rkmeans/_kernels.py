@@ -170,24 +170,37 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
     return within / total
 
 
-def kmeans_pp_init(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def kmeans_pp_init(
+    y: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
+) -> np.ndarray:
     """k-means++ seeding: k rows of y, each drawn with probability proportional
-    to squared distance from the centers already chosen."""
+    to squared distance from the centers already chosen. Integer row counts
+    make row i stand for counts[i] copies of itself: the first center is
+    copy rng.integers(N) of the N = sum(counts), later ones are drawn in
+    proportion to counts * d2. Unit counts draw exactly as None does."""
     n = y.shape[0]
+    cum = None if counts is None else np.cumsum(counts)
+
+    def any_row() -> int:
+        # a uniform draw over the rows, or over the copies they stand for
+        i = int(rng.integers(n if cum is None else int(cum[-1])))
+        return i if cum is None else int(np.searchsorted(cum, i, side="right"))
+
     centers = np.empty((k, y.shape[1]))
-    centers[0] = y[int(rng.integers(n))]
+    centers[0] = y[any_row()]
     if k == 1:
         return centers
     diff = y - centers[0]
     d2 = _row_sums(diff * diff)
     for j in range(1, k):
-        total = float(d2.sum())
+        mass = d2 if counts is None else counts * d2
+        total = float(mass.sum())
         if total > 0.0:
-            idx = int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right"))
+            idx = int(np.searchsorted(np.cumsum(mass), rng.random() * total, side="right"))
             idx = min(idx, n - 1)
         else:
             # remaining points coincide with chosen centers; any pick is as good
-            idx = int(rng.integers(n))
+            idx = any_row()
         centers[j] = y[idx]
         if j < k - 1:
             diff = y - centers[j]
@@ -211,22 +224,30 @@ def _offset(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
-def _stacked_counts(labels: np.ndarray, k: int) -> np.ndarray:
-    """Cluster sizes (w, k) of a stack of labels (w, n)."""
+def _stacked_counts(labels: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Cluster sizes (w, k) of a stack of labels (w, n); with row weights (n,),
+    the weight each cluster holds instead."""
     w = labels.shape[0]
-    return np.bincount(_offset(labels, k), minlength=w * k).reshape(w, k)
+    if weights is not None:
+        weights = np.broadcast_to(weights, labels.shape).ravel()
+    return np.bincount(_offset(labels, k), weights, minlength=w * k).reshape(w, k)
 
 
-def _stacked_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _stacked_means(
+    y: np.ndarray, labels: np.ndarray, counts: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
     """cluster_means over a stack: y (w, n, d), labels (w, n), counts (w, k).
     One bincount per column serves the stack, and each bin still sums its
-    members in row order, so every slice gets the bits a lone call would."""
+    members in row order, so every slice gets the bits a lone call would.
+    Row weights (n,) sum weights * y instead; counts are then the clusters'
+    weight sums."""
     w, k = counts.shape
     d = y.shape[-1]
     flat = _offset(labels, k)
     sums = np.empty((w * k, d))
     for c in range(d):
-        sums[:, c] = np.bincount(flat, weights=y[..., c].ravel(), minlength=w * k)
+        column = y[..., c] if weights is None else y[..., c] * weights
+        sums[:, c] = np.bincount(flat, weights=column.ravel(), minlength=w * k)
     sums = sums.reshape(w, k, d)
     sums /= counts[..., None]
     return sums
@@ -274,32 +295,45 @@ def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarr
     return np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
 
 
-def principal_axes(x: np.ndarray, q: int) -> np.ndarray:
+def principal_axes(x: np.ndarray, q: int, counts: np.ndarray | None = None) -> np.ndarray:
     """Top-q principal directions of the column-centered x as p x q columns,
     taken at in_range's scale. With fewer than q rows the thin SVD has too
-    few directions, so the full SVD's remaining basis pads them."""
+    few directions, so the full SVD's remaining basis pads them. Row counts
+    give the weighted axes: those of the rows repeated counts times, from
+    the SVD of sqrt(counts) times the rows less their weighted mean."""
     x = in_range(x)[0]
-    xc = x - x.mean(axis=0)
+    if counts is None:
+        xc = x - x.mean(axis=0)
+    else:
+        c = counts[:, None]
+        xc = (x - np.sum(c * x, axis=0) / counts.sum()) * np.sqrt(c)
     _, _, vh = np.linalg.svd(xc, full_matrices=False)
     if vh.shape[0] < q:
         _, _, vh = np.linalg.svd(xc, full_matrices=True)
     return vh[:q].T.copy()
 
 
-def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray) -> tuple:
+def _means_step(
+    y: np.ndarray, f: np.ndarray, y_sq: np.ndarray, weights: np.ndarray | None = None
+) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d),
     with y_sq = _row_sums(y * y) (one row of it when the w slices are one
-    array), against centers f (w, k, d), which a repair mutates. Returns
-    (cluster means, labels, counts)."""
+    array), against centers f (w, k, d), which a repair mutates. A repair
+    counts rows, whatever their weights (n,). Returns (cluster means, labels,
+    sizes), the sizes being the clusters' weight sums when rows are
+    weighted."""
     labels = _nearest(y, f, y_sq)[0]
-    counts = _stacked_counts(labels, f.shape[1])
-    for r in np.flatnonzero(np.any(counts == 0, axis=1)):
-        repair_empty_clusters(y[r], f[r], labels[r], counts[r])
-    return _stacked_means(y, labels, counts), labels, counts
+    sizes = _stacked_counts(labels, f.shape[1])
+    for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
+        repair_empty_clusters(y[r], f[r], labels[r], sizes[r])
+    if weights is not None:
+        sizes = _stacked_counts(labels, f.shape[1], weights)
+    return _stacked_means(y, labels, sizes, weights), labels, sizes
 
 
 def sweep_restarts(
-    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int
+    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int,
+    counts: np.ndarray | None = None,
 ) -> list:
     """Run a stack of restarts in lockstep, one per generator in rngs, each
     until its loss falls by at most REL_TOLERANCE (relative) or
@@ -313,22 +347,31 @@ def sweep_restarts(
     loading at the identity, so every restart scores x itself and each sweep
     is a Lloyd step (plain k-means). x and a are only read.
 
+    Optional positive integer ``counts`` (n,) make row i stand for counts[i]
+    copies of itself, so the fit is that of the N = sum(counts) expanded
+    rows: the seeding, the means, the polar step on (UF)'CX and every loss
+    are count-weighted, while a repair still moves one whole row. Unit
+    counts give the bits of ``counts = None``.
+
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
     Returns one (a, f, labels, trace) per restart. The trace holds each
     sweep's loss, then the final one: the loss of the finalized labels. A
-    sweep ends on a means step, so its loss is (|x|^2 - sum_j n_j |f_j|^2) / n
-    for cluster sizes n_j: with f_j the mean of its cluster's scores and
-    a'a = I, the projected sum of squares |xa|^2 cancels. Finalizing sets
-    the labels to the nearest-center argmin for (a, f), ties to the smallest
-    index, and repairs any cluster that leaves empty; at a fixed point it
-    changes nothing. x must already be at in_range's scale; f and the trace
-    stay at it.
+    sweep ends on a means step, so its loss is (|x|^2 - sum_j n_j |f_j|^2) / N
+    for cluster sizes n_j (N = n without counts): with f_j the mean of its
+    cluster's scores and a'a = I, the projected sum of squares |xa|^2
+    cancels. Finalizing sets the labels to the nearest-center argmin for
+    (a, f), ties to the smallest index, and repairs any cluster that leaves
+    empty; at a fixed point it changes nothing. x must already be at
+    in_range's scale; f and the trace stay at it.
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
+    # the rows' weights as doubles, and the number of rows they stand for
+    weights = None if counts is None else counts.astype(np.float64)
+    total = n if counts is None else int(counts.sum())
     squares = x * x
-    sx = float(np.sum(squares))
+    sx = float(np.sum(squares if weights is None else weights[:, None] * squares))
     y_sq = _row_sums(squares) if held else None
     del squares  # freed before the scores buffer is taken
     if held:
@@ -340,22 +383,24 @@ def sweep_restarts(
         scores = np.empty((w, n, a.shape[-1]))
         y = np.matmul(x, a, out=scores)
         a_end = np.empty_like(a)
-    f = np.stack([kmeans_pp_init(y[j], k, rng) for j, rng in enumerate(rngs)])
+        # the polar step's CX, formed once
+        cx = x if weights is None else weights[:, None] * x
+    f = np.stack([kmeans_pp_init(y[j], k, rng, counts) for j, rng in enumerate(rngs)])
     if not held:
-        f, labels, _ = _means_step(y, f, _row_sums(y * y))
+        f, labels, _ = _means_step(y, f, _row_sums(y * y), weights)
     f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
     prev = np.full(w, np.inf)
     for sweep in range(1, max_iterations + 1):
         if not held:
-            a = _stacked_polar(x, labels, f)
+            a = _stacked_polar(cx, labels, f)
             y = np.matmul(x, a, out=scores[:len(live)])
             y_sq = _row_sums(y * y)
-        f, labels, counts = _means_step(y, f, y_sq)
+        f, labels, sizes = _means_step(y, f, y_sq, weights)
         # the means-step identity; clamped, as the terms cancel at zero loss
-        within = _row_sums(counts * _row_sums(f * f))
-        loss = np.maximum((sx - within) / n, 0.0)
+        within = _row_sums(sizes * _row_sums(f * f))
+        loss = np.maximum((sx - within) / total, 0.0)
         for r, value in zip(live, loss.tolist()):
             traces[r].append(value)
         stop = np.isfinite(prev) & (
@@ -381,58 +426,71 @@ def sweep_restarts(
         y_end = np.matmul(x, a_end, out=scores)
     # row sums of the flattened squares add in the order np.sum takes over
     # one restart's n x q scores
-    sy = np.sum((y_end * y_end).reshape(w, -1), axis=-1)
+    squares = y_end * y_end
+    if weights is not None:
+        squares *= weights[:, None]
+    sy = np.sum(squares.reshape(w, -1), axis=-1)
+    del squares  # freed before the distance block is taken
     nearest, low = _nearest(y_end, f_end)
-    counts = _stacked_counts(nearest, f_end.shape[1])
-    d_sums = low.sum(axis=-1)
+    sizes = _stacked_counts(nearest, f_end.shape[1])
+    d_sums = (low if weights is None else low * weights).sum(axis=-1)
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
-    for r in np.flatnonzero(np.any(counts == 0, axis=1)):
-        labels[r], d_sums[r] = _finalize_repairs(y_end[r], f_end[r], nearest[r], counts[r])
+    for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
+        labels[r], d_sums[r] = _finalize_repairs(
+            y_end[r], f_end[r], nearest[r], sizes[r], weights)
     # orthogonal residual plus projected nearest distances
-    loss = np.maximum((sx - sy + d_sums) / n, 0.0).tolist()
+    loss = np.maximum((sx - sy + d_sums) / total, 0.0).tolist()
     for r in range(w):
         traces[r].append(loss[r])
     return [(None if held else a_end[r], f_end[r], labels[r], traces[r]) for r in range(w)]
 
 
 def _finalize_repairs(
-    y: np.ndarray, f: np.ndarray, labels: np.ndarray, counts: np.ndarray
+    y: np.ndarray, f: np.ndarray, labels: np.ndarray, counts: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Finalize of one restart whose nearest-center labels left a cluster
     empty: repair, retake the argmin, up to k more times, because a repair
     can empty another cluster under the next argmin. Returns the labels and
-    the sum of their squared distances."""
+    the sum of their squared distances, each times its row's weight if
+    weights are given."""
     k = f.shape[0]
     for _ in range(k):
         repair_empty_clusters(y, f, labels, counts)
         labels, low = _nearest(y, f)
         counts = np.bincount(labels, minlength=k)
         if np.all(counts > 0):
-            return labels, float(low.sum())
+            return labels, float((low if weights is None else low * weights).sum())
     # every argmin left a cluster empty, as it must with fewer distinct
     # projected rows than k (equal rows share their argmin center); one more
     # repair leaves every cluster non-empty, and the loss is in assigned form
     repair_empty_clusters(y, f, labels, counts)
     diff = y - f[labels]
-    return labels, float(np.sum(diff * diff))
+    squares = diff * diff
+    if weights is not None:
+        squares *= weights[:, None]
+    return labels, float(np.sum(squares))
 
 
 def best_restart(
-    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int
+    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int,
+    counts: np.ndarray | None = None,
 ) -> tuple:
     """The best of the restarts sweep_restarts runs on x, one per generator
     in rngs, with restart r starting from the loading a[r] (a = None holds
-    it at the identity). The restarts run in batch_width's batches on
-    in_range's scale of x. The winner has the lowest final loss at that
-    scale, ties to the smallest index. Returns (r, a, f, labels, trace) of
-    the winner, whose f and trace alone are scaled back by scaled_fit."""
+    it at the identity), its rows weighted by the optional integer counts.
+    The restarts run in batch_width's batches on in_range's scale of x. The
+    winner has the lowest final loss at that scale, ties to the smallest
+    index. Returns (r, a, f, labels, trace) of the winner, whose f and trace
+    alone are scaled back by scaled_fit."""
     x, e = in_range(x)
     width = batch_width(x.shape[0], k, len(rngs))
     best = None
     for first in range(0, len(rngs), width):
         part = slice(first, first + width)
-        results = sweep_restarts(x, None if a is None else a[part], k, rngs[part], max_iterations)
+        results = sweep_restarts(x, None if a is None else a[part], k, rngs[part],
+                                 max_iterations, counts)
         for r, result in enumerate(results, start=first):
             # a restart's loss is the last entry of its trace
             if best is None or result[3][-1] < best[4][-1]:

@@ -48,8 +48,8 @@ def kmeans_1d_exact(values, k: int, weights=None) -> RkmSolution:
     contiguous runs, so the DP over split points is exhaustive. The optional
     nonnegative ``weights`` generalize the objective to
     sum_i w_i * (v_i - c_{label(i)})^2 / sum_i w_i. The DP runs at
-    ``_kernels.in_range``'s scale of the values; the centers and the loss are
-    scaled back.
+    ``_kernels.in_range``'s scale of the values, and of the weights apart;
+    the centers and the loss are scaled back.
 
     The DP's prefix sums of squares round at mean^2 + spread^2 (weighted, over
     n values), so its loss is off by about n * eps * (mean^2 + spread^2).
@@ -76,9 +76,12 @@ def kmeans_1d_exact(values, k: int, weights=None) -> RkmSolution:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain NaN or Inf entries")
-        if np.any(w < 0) or w.sum() <= 0:
+        if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be nonnegative with positive sum")
 
+    # the objective does not see the weights' scale, so take them at
+    # in_range's too: exact, and their products and sums stay doubles
+    w = _kernels.in_range(w)[0]
     v, e = _kernels.in_range(v)
     mean = float(w @ v) / float(w.sum())
     var = float(w @ (v - mean) ** 2) / float(w.sum())

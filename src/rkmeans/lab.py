@@ -8,7 +8,10 @@ at desk scale:
   optimality gap,
 * replicated sampling experiments that track the fitted loss, the aligned
   parameter distance to the population optimum, and the variance-ratio
-  statistic across a grid of sample sizes,
+  statistic across a grid of sample sizes; a sample's objective is the
+  count-weighted objective over its distinct atoms, so each sample is fit
+  once per distinct atom, with its count (the full draw is fit where it
+  has fewer distinct atoms than clusters),
 * dimension-selection agreement rates on the synthetic benchmark (Table 1),
 * the finite-sample deviation-probability bound.
 
@@ -29,7 +32,7 @@ from .baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from .datagen import TABLE1_K, TABLE1_N, DatasetSpec, generate_dataset
 from .errors import DegenerateDataError
 from .metrics import adjusted_rand_index, param_distance
-from .selection import select_dimension, vr_hat
+from .selection import select_dimension
 from .solver import SolverConfig, fit_rkm
 from .types import CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
 
@@ -292,6 +295,14 @@ def consistency_experiment(
     with the other arguments, before any solve. Rep r at size n fits the
     sample drawn by spawn_rng(seed, n, r) with ``restarts`` restarts from the
     seed spawn_seed(seed, n, r, 1).
+
+    The sample's objective is exactly the count-weighted objective over its
+    distinct atoms, so the fit is ``fit_rkm`` on the distinct atoms with
+    their counts (np.unique of the draw), and the VR is
+    ``_kernels.weighted_vr`` at those counts: the loss and the VR are the
+    n-row sample's, to rounding. A draw with fewer distinct atoms than k
+    cannot give every cluster a row of its own; that rep fits its n rows
+    unweighted, and its VR is the sample's ``vr_hat``.
     """
     config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
     if reps < 1:
@@ -319,10 +330,17 @@ def consistency_experiment(
     for n in n_grid:
         for r in range(reps):
             idx = spawn_rng(seed, n, r).choice(pop.m, size=n, p=pop.weights)
-            X = DataMatrix(pop.atoms[idx])
-            sol = fit_rkm(X, replace(config, seed=spawn_seed(seed, n, r, 1)))
+            rows, counts = np.unique(idx, return_counts=True)
+            if rows.size < k:
+                # too few distinct atoms to give every cluster a row of its
+                # own: fit the full draw, each row once
+                rows, counts = idx, None
+            x = pop.atoms[rows]
+            sol = fit_rkm(DataMatrix(x), replace(config, seed=spawn_seed(seed, n, r, 1)),
+                          counts=counts)
             try:
-                vr = vr_hat(X, sol)
+                vr = _kernels.weighted_vr(x, np.ones(n) if counts is None else counts,
+                                          sol.loading.values, sol.centroids.values)
             except DegenerateDataError:
                 vr = float("nan")
             values = (

@@ -13,7 +13,9 @@ One sweep updates, in order:
    and each f_j is the mean of its cluster's scores.
 
 Each step minimizes the assigned loss |X - UFA'|^2 / n in its own block, so
-the per-sweep loss trace is non-increasing.
+the per-sweep loss trace is non-increasing. With integer row counts every
+sum above is count-weighted and n is their total: the fit of the rows
+repeated counts times.
 """
 from __future__ import annotations
 
@@ -72,7 +74,9 @@ def assign_clusters(X: DataMatrix, A: LoadingMatrix, F: CentroidSet) -> Assignme
     return Assignment(_kernels.assign_to_nearest(x @ A.values, f), F.k)
 
 
-def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
+def fit_rkm(
+    X: DataMatrix, config: SolverConfig, counts: np.ndarray | None = None
+) -> RkmSolution:
     """Best of ``config.restarts`` alternating least squares runs.
 
     Restart 0 warm-starts the loading from the top-q principal directions of
@@ -84,23 +88,45 @@ def fit_rkm(X: DataMatrix, config: SolverConfig) -> RkmSolution:
     width depends on the input's shape only; each restart's result is
     bitwise what it would be on its own.
 
+    The optional ``counts`` are positive integer multiplicities, one per row
+    of X: the fit is then that of X with row i repeated counts[i] times, at
+    the cost of X's n rows. Its loss is the expanded sample's mean-per-object
+    objective, its principal axes and k-means++ draws are the count-weighted
+    ones, and its assignment labels X's n rows. Unit counts give the bits of
+    the unweighted fit. X must still have at least k rows.
+
     The returned solution is finalized so that its assignment is the nearest-
     centroid rule for its (loading, centroids) and its loss is exactly the
     min-based objective of that pair; it is a local, not certified global,
     minimizer.
     """
     config.validate_against(X)
-    return _solve(X, config, _starts(config, _kernels.principal_axes(X.values, config.q)))
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (X.n,):
+            raise ValueError(f"counts must hold one entry per row of the data (n={X.n}), "
+                             f"got shape {counts.shape}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if np.any(counts < 1):
+            raise ValueError("counts must be positive")
+    a0 = _starts(config, _kernels.principal_axes(X.values, config.q, counts))
+    return _solve(X, config, a0, counts)
 
 
-def _solve(X: DataMatrix, config: SolverConfig, a0: np.ndarray | None = None) -> RkmSolution:
-    """best_restart on X as a solution, from the stacked starting loadings
-    a0, or with the loading held at the identity if a0 is None. Both solvers
-    seed restart r's centroids from the stream (seed, r), so they match
-    restart for restart when q == p; a loading draw has its own stream."""
+def _solve(
+    X: DataMatrix, config: SolverConfig, a0: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
+) -> RkmSolution:
+    """best_restart on X, its rows weighted by the optional counts, as a
+    solution, from the stacked starting loadings a0, or with the loading held
+    at the identity if a0 is None. Both solvers seed restart r's centroids
+    from the stream (seed, r), so they match restart for restart when q == p;
+    a loading draw has its own stream."""
     r, a, f, labels, trace = _kernels.best_restart(
         X.values, a0, config.k,
         [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,
+        counts,
     )
     return RkmSolution(
         loading=LoadingMatrix(np.eye(X.p) if a is None else a),

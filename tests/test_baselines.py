@@ -213,6 +213,22 @@ def test_1d_weighted_equals_repetition():
     assert np.allclose(np.sort(weighted.centroids.values.ravel()), np.sort(repeated.centroids.values.ravel()))
 
 
+@pytest.mark.parametrize("weight", [1e300, 1e308, 1e-320])
+def test_1d_exact_weights_at_any_scale(weight):
+    # the objective does not see the weights' scale: weights whose products
+    # with the values overflow, whose sum overflows, or that are subnormal
+    # must give the unit-weight optimum of [0, 1, 5, 6] at k = 2, with no
+    # floating-point warning on the way
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = kmeans_1d_exact([0.0, 1.0, 5.0, 6.0], 2, weights=np.full(4, weight))
+    assert sol.loss == pytest.approx(0.25, rel=1e-12)
+    assert sol.centroids.values.ravel() == pytest.approx([0.5, 5.5], rel=1e-12)
+    assert sol.assignment.labels.tolist() == [0, 0, 1, 1]
+
+
 def test_1d_exact_runs_at_one_scale():
     # criterion 10's draws: the squares overflow at 2^514 and go subnormal
     # at 2^-514. A power of two carries through the DP exactly, and a loss

@@ -182,8 +182,8 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
     seed_centers = _kernels.kmeans_pp_init
     seeded = []
 
-    def recording(y, k, rng):
-        seeded.append(seed_centers(y, k, rng))
+    def recording(y, k, rng, counts=None):
+        seeded.append(seed_centers(y, k, rng, counts))
         return seeded[-1]
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)

@@ -563,25 +563,80 @@ class TestConsistencyExperiment:
             consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(10,), reps=1, restarts=0)
 
     def test_each_rep_refits_its_own_sample_and_seed(self):
-        # rep (n, r) samples with spawn_rng(seed, n, r) and fits with
-        # spawn_seed(seed, n, r, 1), bit for bit
+        # rep (n, r) draws with spawn_rng(seed, n, r) and fits the draw's
+        # distinct atoms, weighted by their counts, with spawn_seed(seed, n,
+        # r, 1), bit for bit; its VR is the count-weighted ratio
         pop = four_atom_pop()
         report = consistency_experiment(pop, k=2, q=1, n_grid=(12, 30), reps=2,
                                         restarts=3, seed=4)
         for n in (12, 30):
             for r in range(2):
                 idx = spawn_rng(4, n, r).choice(pop.m, size=n, p=pop.weights)
-                X = DataMatrix(pop.atoms[idx])
-                sol = fit_rkm(X, SolverConfig(k=2, q=1, restarts=3, seed=spawn_seed(4, n, r, 1)))
+                rows, counts = np.unique(idx, return_counts=True)
+                assert rows.size >= 2
+                x = pop.atoms[rows]
+                sol = fit_rkm(DataMatrix(x),
+                              SolverConfig(k=2, q=1, restarts=3, seed=spawn_seed(4, n, r, 1)),
+                              counts=counts)
                 assert report.losses[n][r] == sol.loss
-                assert report.vr_values[n][r] == vr_hat(X, sol)
+                assert report.vr_values[n][r] == _kernels.weighted_vr(
+                    x, counts, sol.loading.values, sol.centroids.values)
                 assert report.population_risks[n][r] == population_risk(
                     pop, sol.loading, sol.centroids)
+
+    def test_every_rep_scores_its_full_draw(self, monkeypatch):
+        # the weighted fit's loss and VR are those of the n-row draw it
+        # stands for: rkm_objective and vr_hat of the fitted parameters on
+        # the draw itself, to 1e-12 relative
+        fits = []
+        real = lab.fit_rkm
+        monkeypatch.setattr(lab, "fit_rkm",
+                            lambda X, cfg, **kw: fits.append(real(X, cfg, **kw)) or fits[-1])
+        atoms = np.array([[-2.0, 0.5], [-1.0, -0.3], [0.2, 0.1], [1.4, 0.6], [2.5, -0.4]])
+        pop = PopulationSpec(atoms, [0.1, 0.3, 0.2, 0.25, 0.15])
+        for k in (2, 3):
+            fits.clear()
+            report = consistency_experiment(pop, k=k, q=1, n_grid=(15, 60, 400), reps=3,
+                                            restarts=4, seed=k)
+            for n, r in itertools.product(report.n_grid, range(3)):
+                sol = fits[report.n_grid.index(n) * 3 + r]
+                idx = spawn_rng(k, n, r).choice(pop.m, size=n, p=pop.weights)
+                X = DataMatrix(atoms[idx])
+                assert report.losses[n][r] == pytest.approx(
+                    rkm_objective(X, sol.loading, sol.centroids), rel=1e-12, abs=0.0)
+                assert report.vr_values[n][r] == pytest.approx(vr_hat(X, sol), rel=1e-12, abs=0.0)
+
+    def test_too_few_distinct_atoms_fit_the_full_draw(self, monkeypatch):
+        # three atoms, k = 3: a draw that misses an atom cannot give every
+        # cluster a row of its own, so that rep fits its n rows unweighted,
+        # bit for bit; the other reps take the weighted path
+        paths = []
+        real = lab.fit_rkm
+        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg, counts=None: paths.append(
+            counts is None) or real(X, cfg, counts=counts))
+        pop = PopulationSpec(np.array([[-2.0, 0.5], [0.2, 0.1], [2.5, -0.4]]), np.full(3, 1 / 3))
+        report = consistency_experiment(pop, k=3, q=1, n_grid=(3, 4), reps=6, restarts=3,
+                                        seed=5)
+        assert any(paths) and not all(paths), "a path went untested"
+        full = 0
+        for n, r in itertools.product((3, 4), range(6)):
+            idx = spawn_rng(5, n, r).choice(pop.m, size=n, p=pop.weights)
+            if np.unique(idx).size == 3:
+                continue
+            full += 1
+            X = DataMatrix(pop.atoms[idx])
+            sol = real(X, SolverConfig(k=3, q=1, restarts=3, seed=spawn_seed(5, n, r, 1)))
+            assert report.losses[n][r] == sol.loss
+            assert report.vr_values[n][r] == vr_hat(X, sol)
+            assert report.population_risks[n][r] == population_risk(
+                pop, sol.loading, sol.centroids)
+        assert full == sum(paths)
 
     def test_defaults_to_20_restarts_and_seed_0(self, monkeypatch):
         seen = []
         real = lab.fit_rkm
-        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg: seen.append(cfg) or real(X, cfg))
+        monkeypatch.setattr(lab, "fit_rkm",
+                            lambda X, cfg, **kw: seen.append(cfg) or real(X, cfg, **kw))
         consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(8,), reps=2)
         assert seen == [SolverConfig(k=2, q=1, restarts=20, seed=spawn_seed(0, 8, r, 1))
                         for r in range(2)]

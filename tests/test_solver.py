@@ -163,7 +163,8 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
     # loading (unless held), assigns, repairs an empty cluster as the engine
     # does, and takes the means; every trace entry is the assigned loss of
     # that sweep's (A, F, U), and the last one that of the final pair and
-    # its nearest-centroid labels
+    # its nearest-centroid labels. With row counts the steps run on the
+    # expanded rows, except that the repair moves a whole distinct row
     from rkmeans import _kernels
     from rkmeans._seeds import spawn_rng
 
@@ -175,22 +176,181 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
 
     for seed in range(8):
         X = _blobs(seed)
-        a0 = np.eye(X.p) if held else _kernels.principal_axes(X.values, 2)
-        _, _, _, trace = _kernels.sweep_restarts(
-            X.values, None if held else a0[None], 3, [spawn_rng(seed, 0)], 300)[0]
-        A = LoadingMatrix(a0)
-        F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0)))
-        if not held:
-            U = assign(X, A, F)
-            F = _centroid_step(X, U, A)
-        for loss in trace[:-1]:
+        for counts in (None, np.random.default_rng(seed).integers(1, 5, X.n)):
+            c = np.ones(X.n, dtype=np.int64) if counts is None else counts
+            full = DataMatrix(np.repeat(X.values, c, axis=0))
+
+            def expand(U):
+                return Assignment(np.repeat(U.labels, c), U.n_clusters)
+
+            a0 = np.eye(X.p) if held else _kernels.principal_axes(X.values, 2, counts)
+            _, _, _, trace = _kernels.sweep_restarts(
+                X.values, None if held else a0[None], 3, [spawn_rng(seed, 0)], 300, counts)[0]
+            A = LoadingMatrix(a0)
+            F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0), counts))
             if not held:
-                A = _loading_step(X, U, F)
-            U = assign(X, A, F)
-            F = _centroid_step(X, U, A)
-            assert loss == pytest.approx(assigned_objective(X, A, F, U), rel=1e-12)
-        final = assigned_objective(X, A, F, assign_clusters(X, A, F))
-        assert trace[-1] == pytest.approx(final, rel=1e-12)
+                U = assign(X, A, F)
+                F = _centroid_step(full, expand(U), A)
+            for loss in trace[:-1]:
+                if not held:
+                    A = _loading_step(full, expand(U), F)
+                U = assign(X, A, F)
+                F = _centroid_step(full, expand(U), A)
+                assert loss == pytest.approx(assigned_objective(full, A, F, expand(U)), rel=1e-12)
+            final = assigned_objective(full, A, F, expand(assign_clusters(X, A, F)))
+            assert trace[-1] == pytest.approx(final, rel=1e-12)
+
+
+def _unit_counts_cases(seed):
+    """Shapes from the consistency workload's (p = 2, q = 1, k = 2) to the
+    agreement's (p = 15, k = 8), random or on an integer grid."""
+    rng = np.random.default_rng(seed)
+    for case, (n, p, q, k) in enumerate([(50, 2, 1, 2), (200, 2, 1, 2), (40, 15, 3, 8),
+                                         (13, 3, 2, 5), (9, 4, 4, 9), (30, 1, 1, 3)]):
+        x = rng.standard_normal((n, p)) if case % 2 else rng.integers(-1, 2, (n, p)) * 1.0
+        yield case, x, q, k
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_unit_counts_keep_the_unweighted_bits(width, monkeypatch):
+    # counts of 1 are the unweighted fit: fit_rkm, and the held loading's
+    # path through best_restart, give the same bits at every batch width
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_rng
+
+    for case, x, q, k in _unit_counts_cases(width):
+        monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
+        ones = np.ones(x.shape[0], dtype=np.int64)
+        config = SolverConfig(k=k, q=q, restarts=7, seed=case)
+        plain, unit = fit_rkm(DataMatrix(x), config), fit_rkm(DataMatrix(x), config, counts=ones)
+        assert (plain.restart_index, plain.sweep_losses) == (unit.restart_index, unit.sweep_losses)
+        for part in ("loading", "centroids", "assignment"):
+            a, b = getattr(plain, part), getattr(unit, part)
+            a, b = (a.labels, b.labels) if part == "assignment" else (a.values, b.values)
+            assert a.tobytes() == b.tobytes(), f"case {case}, {part}"
+        held = [_kernels.best_restart(x, None, k, [spawn_rng(case, r) for r in range(7)], 300,
+                                      counts) for counts in (None, ones)]
+        assert held[0][0] == held[1][0] and held[0][4] == held[1][4], f"case {case}"
+        for got, want in zip(held[0][2:4], held[1][2:4]):
+            assert got.tobytes() == want.tobytes(), f"case {case}"
+
+
+def _weighted_cases(seed, low=1):
+    """Few distinct rows with integer counts from low to 6: duplicates among
+    the rows too, k up to the number of rows, q up to p."""
+    rng = np.random.default_rng(seed)
+    for case in range(40):
+        n, p = int(rng.integers(2, 16)), int(rng.integers(1, 5))
+        x = rng.integers(-2, 3, size=(n, p)) * 1.0 if case % 2 else rng.standard_normal((n, p))
+        x[: n // 3] = x[n // 3: 2 * (n // 3)]
+        yield case, x, rng.integers(low, 7, n), int(rng.integers(1, p + 1)), \
+            int(rng.integers(1, n + 1))
+
+
+def test_counts_fit_the_expanded_sample():
+    # the loss is rkm_objective of the rows repeated counts times, and every
+    # label, expanded, is the nearest-centroid argmin of its copies. Both
+    # losses round at the data's mean square, which bounds them at zero loss
+    for case, x, counts, q, k in _weighted_cases(2):
+        sol = fit_rkm(DataMatrix(x), SolverConfig(k=k, q=q, restarts=4, seed=case),
+                      counts=counts)
+        full = DataMatrix(np.repeat(x, counts, axis=0))
+        scale = float(np.mean(np.sum(full.values ** 2, axis=1)))
+        assert sol.loss == pytest.approx(rkm_objective(full, sol.loading, sol.centroids),
+                                         rel=1e-12, abs=1e-12 * scale), f"case {case}"
+        y = full.values @ sol.loading.values
+        d = np.sum((y[:, None, :] - sol.centroids.values[None, :, :]) ** 2, axis=2)
+        labels = np.repeat(sol.assignment.labels, counts)
+        own = d[np.arange(full.n), labels]
+        assert np.all(own <= d.min(axis=1) + 1e-12 * (1.0 + d.min(axis=1))), f"case {case}"
+
+
+def test_counts_seed_and_start_as_the_expanded_rows():
+    # k-means++ on counted rows draws the rows its draws on the expanded rows
+    # land in (on an integer grid every cumulative sum is exact, so bit for
+    # bit), and the weighted principal axes span the expanded rows' axes
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_rng
+
+    compared = 0
+    for case, x, counts, q, k in _weighted_cases(4):
+        full = np.repeat(x, counts, axis=0)
+        if case % 2:
+            got = _kernels.kmeans_pp_init(x, k, spawn_rng(case, 0), counts)
+            want = _kernels.kmeans_pp_init(full, k, spawn_rng(case, 0))
+            assert got.tobytes() == want.tobytes(), f"case {case}"
+        spectrum = np.linalg.svd(full - full.mean(axis=0), compute_uv=False)
+        if q < x.shape[1] and (q >= len(spectrum) or spectrum[q - 1] - spectrum[q] < 1e-6):
+            continue  # the top-q subspace is not unique
+        a, b = _kernels.principal_axes(x, q, counts), _kernels.principal_axes(full, q)
+        assert a @ a.T == pytest.approx(b @ b.T, abs=1e-9), f"case {case}"
+        compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("y, f, weights", [
+    # the repair's argmin keeps every cluster: the nearest distances count
+    ([[0.0], [1.0], [10.0], [11.0]], [[0.5], [10.5], [100.0]], [1.0, 2.0, 3.0, 4.0]),
+    # two distinct rows for three clusters: the fallback's assigned distances
+    ([[0.0], [0.0], [1.0]], [[0.0], [0.5], [5.0]], [1.0, 1.0, 3.0]),
+], ids=["argmin", "fallback"])
+def test_finalize_repairs_weigh_each_row(y, f, weights):
+    # whichever way the finalize ends, its loss is each row's squared
+    # distance to its center times the row's weight
+    from rkmeans import _kernels
+
+    y, f, weights = np.array(y), np.array(f), np.array(weights)
+    labels = _kernels.assign_to_nearest(y, f)
+    sizes = np.bincount(labels, minlength=len(f))
+    assert np.any(sizes == 0)
+    labels, loss = _kernels._finalize_repairs(y, f, labels, sizes, weights)
+    assert np.all(np.bincount(labels, minlength=len(f)) > 0)
+    assert loss > 0.0
+    assert loss == np.sum(weights * np.sum((y - f[labels]) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
+def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
+    # every row stands for two or more copies, so each repair moves a row of
+    # count > 1; each fit must end with every cluster holding a row, and its
+    # trace must not rise by more than the rounding of the loss's terms,
+    # which is relative to the data's mean square, not to a zero loss
+    from rkmeans import _kernels, solver
+    from rkmeans._seeds import spawn_rng
+
+    repair = _kernels.repair_empty_clusters
+    moved = []
+
+    def recording(y, centers, labels, sizes):
+        before = labels.copy()
+        repair(y, centers, labels, sizes)
+        moved.extend(np.flatnonzero(labels != before).tolist())
+
+    monkeypatch.setattr(_kernels, "repair_empty_clusters", recording)
+    for case, x, counts, q, k in _weighted_cases(3 + held, low=2):
+        rngs = [spawn_rng(case, r) for r in range(4)]
+        a0 = None
+        if not held:
+            a0 = solver._starts(SolverConfig(k=k, q=q, restarts=4, seed=case),
+                                _kernels.principal_axes(x, q, counts))
+        for a, f, labels, trace in _kernels.sweep_restarts(x, a0, k, rngs, 300, counts):
+            assert np.all(np.bincount(labels, minlength=k) > 0), f"case {case}"
+            t = np.array(trace)
+            scale = np.sum(counts * np.sum(x * x, axis=1)) / counts.sum()
+            assert np.all(t[1:] - t[:-1] <= 1e-12 * scale), f"case {case}: {trace}"
+    assert moved, "no repair ran"
+
+
+def test_counts_are_checked():
+    X = DataMatrix(np.arange(12.0).reshape(6, 2))
+    config = SolverConfig(k=2, q=1, restarts=2)
+    for counts, message in [(np.ones(5, dtype=int), "one entry per row"),
+                            (np.ones((6, 1), dtype=int), "one entry per row"),
+                            (np.ones(6), "must be integers"),
+                            (np.array([1, 2, 0, 1, 1, 1]), "must be positive"),
+                            (np.array([1, 2, -3, 1, 1, 1]), "must be positive")]:
+        with pytest.raises(ValueError, match=message):
+            fit_rkm(X, config, counts=counts)
 
 
 def test_more_restarts_never_hurt():
@@ -252,9 +412,9 @@ def test_finalize_with_more_clusters_than_distinct_rows(k, monkeypatch):
     monkeypatch.setattr(_kernels, "repair_empty_clusters",
                         lambda *args: repairs.append(1) or repair(*args))
 
-    def counted(y, f, labels, counts):
+    def counted(*args):
         before = len(repairs)
-        result = finalize(y, f, labels, counts)
+        result = finalize(*args)
         rounds.append(len(repairs) - before)
         return result
 
@@ -419,9 +579,9 @@ def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
     seed_centers = _kernels.kmeans_pp_init
     seen = []
 
-    def recording(y, k, rng):
+    def recording(y, k, rng, counts=None):
         seen.append(stream(rng))
-        return seed_centers(y, k, rng)
+        return seed_centers(y, k, rng, counts)
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     n, k, R, seed = 30, 3, 7, 11

@@ -111,6 +111,10 @@ COMMANDS = [
     # leaves a cluster empty under the argmin and takes the repair fallback
     ("fit-dup-points", "fit --input dup.csv --clusters 4 --dims 1 --restarts 6"),
     ("kmeans-dup-points", "kmeans --input dup.csv --clusters 4 --restarts 6"),
+    # three atoms for three clusters: a draw that holds all three fits them
+    # with their counts, one that misses an atom fits its n rows unweighted
+    ("consistency-atoms3-k3", "bench-consistency --atoms atoms3.csv --clusters 3"
+                              " --n-grid 3,4"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
@@ -122,7 +126,7 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
-    files that only the csv.reader walk reads or refuses, five atom sets
+    files that only the csv.reader walk reads or refuses, six atom sets
     for bench-consistency, 40 draws of its demo atoms times 2^513 and
     times 1e-170, and 12 rows of three distinct points."""
     def put(name, lines):
@@ -136,6 +140,7 @@ def write_fixtures(work: str) -> None:
     put("ragged.csv", ["1,2", "3,4,5", "6,7"])
     put("badcell.csv", ["1,2", "3,x", "6,7"])
     put("atoms5.csv", ["x,y", "-2,0.5", "-1,-0.3", "0.2,0.1", "1.4,0.6", "2.5,-0.4"])
+    put("atoms3.csv", ["x,y", "-2,0.5", "0.2,0.1", "2.5,-0.4"])
     put("atoms8.csv", [f"{i - 3.5},{(-1) ** i * 0.25 * (i % 3)}" for i in range(8)])
     demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
     for name, scale in (("2p511", 2.0**511), ("1e160", 1e160), ("1e-170", 1e-170)):
