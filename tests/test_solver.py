@@ -333,7 +333,7 @@ def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
         if not held:
             a0 = solver._starts(SolverConfig(k=k, q=q, restarts=4, seed=case),
                                 _kernels.principal_axes(x, q, counts))
-        for a, f, labels, trace in _kernels.sweep_restarts(x, a0, k, rngs, 300, counts):
+        for _, _, labels, trace in _kernels.sweep_restarts(x, a0, k, rngs, 300, counts):
             assert np.all(np.bincount(labels, minlength=k) > 0), f"case {case}"
             t = np.array(trace)
             scale = np.sum(counts * np.sum(x * x, axis=1)) / counts.sum()
