@@ -173,18 +173,18 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
 def kmeans_pp_init(
     y: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
 ) -> np.ndarray:
-    """k-means++ seeding: k rows of y, each drawn with probability proportional
-    to squared distance from the centers already chosen. Integer row counts
-    make row i stand for counts[i] copies of itself: the first center is
-    copy rng.integers(N) of the N = sum(counts), later ones are drawn in
-    proportion to counts * d2. Unit counts draw exactly as None does."""
+    """k-means++ seeding on rows y with positive integer counts (default
+    once each), row i standing for counts[i] copies of itself: k rows of y,
+    each drawn with probability proportional to squared distance from the
+    centers already chosen. The first center is copy rng.integers(N) of the
+    N = sum(counts), later ones are drawn in proportion to counts * d2."""
     n = y.shape[0]
-    cum = None if counts is None else np.cumsum(counts)
+    counts = np.ones(n, dtype=np.int64) if counts is None else counts
+    cum = np.cumsum(counts)
 
     def any_row() -> int:
-        # a uniform draw over the rows, or over the copies they stand for
-        i = int(rng.integers(n if cum is None else int(cum[-1])))
-        return i if cum is None else int(np.searchsorted(cum, i, side="right"))
+        # a uniform draw over the copies the rows stand for
+        return int(np.searchsorted(cum, int(rng.integers(int(cum[-1]))), side="right"))
 
     centers = np.empty((k, y.shape[1]))
     centers[0] = y[any_row()]
@@ -193,7 +193,7 @@ def kmeans_pp_init(
     diff = y - centers[0]
     d2 = _row_sums(diff * diff)
     for j in range(1, k):
-        mass = d2 if counts is None else counts * d2
+        mass = counts * d2
         total = float(mass.sum())
         if total > 0.0:
             idx = int(np.searchsorted(np.cumsum(mass), rng.random() * total, side="right"))
@@ -215,7 +215,7 @@ def assign_to_nearest(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def cluster_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cluster mean rows. Caller guarantees counts > 0 everywhere."""
-    return _stacked_means(y[None], labels[None], counts[None])[0]
+    return _stacked_means(y[None], labels[None], counts[None], np.ones(len(y)))[0]
 
 
 def _offset(labels: np.ndarray, k: int) -> np.ndarray:
@@ -224,32 +224,28 @@ def _offset(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
-def _stacked_counts(labels: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Cluster sizes (w, k) of a stack of labels (w, n); with row weights (n,),
-    the weight each cluster holds instead."""
+def _stacked_counts(labels: np.ndarray, k: int, tiled: np.ndarray) -> np.ndarray:
+    """The weight each cluster holds (w, k) in a stack of labels (w, n), for
+    the row weights (n,) tiled at least w times."""
     w = labels.shape[0]
-    if weights is not None:
-        weights = np.broadcast_to(weights, labels.shape).ravel()
-    return np.bincount(_offset(labels, k), weights, minlength=w * k).reshape(w, k)
+    return np.bincount(_offset(labels, k), tiled[:labels.size], minlength=w * k).reshape(w, k)
 
 
 def _stacked_means(
-    y: np.ndarray, labels: np.ndarray, counts: np.ndarray, weights: np.ndarray | None = None
+    y: np.ndarray, labels: np.ndarray, sizes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """cluster_means over a stack: y (w, n, d), labels (w, n), counts (w, k).
-    One bincount per column serves the stack, and each bin still sums its
-    members in row order, so every slice gets the bits a lone call would.
-    Row weights (n,) sum weights * y instead; counts are then the clusters'
-    weight sums."""
-    w, k = counts.shape
+    """Weighted cluster means over a stack: y (w, n, d), labels (w, n), row
+    weights (n,) and the clusters' weight sums (w, k). One bincount per
+    column serves the stack, and each bin still sums its members in row
+    order, so every slice gets the bits a lone call would."""
+    w, k = sizes.shape
     d = y.shape[-1]
     flat = _offset(labels, k)
     sums = np.empty((w * k, d))
     for c in range(d):
-        column = y[..., c] if weights is None else y[..., c] * weights
-        sums[:, c] = np.bincount(flat, weights=column.ravel(), minlength=w * k)
+        sums[:, c] = np.bincount(flat, weights=(y[..., c] * weights).ravel(), minlength=w * k)
     sums = sums.reshape(w, k, d)
-    sums /= counts[..., None]
+    sums /= sizes[..., None]
     return sums
 
 
@@ -296,38 +292,33 @@ def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarr
 
 
 def principal_axes(x: np.ndarray, q: int, counts: np.ndarray | None = None) -> np.ndarray:
-    """Top-q principal directions of the column-centered x as p x q columns,
-    taken at in_range's scale. With fewer than q rows the thin SVD has too
-    few directions, so the full SVD's remaining basis pads them. Row counts
-    give the weighted axes: those of the rows repeated counts times, from
-    the SVD of sqrt(counts) times the rows less their weighted mean."""
+    """Top-q principal directions of x as p x q columns, taken at in_range's
+    scale: those of its rows repeated the positive integer counts times
+    (default once each), from the SVD of sqrt(counts) times the rows less
+    their weighted mean. With fewer than q rows the thin SVD has too few
+    directions, so the full SVD's remaining basis pads them."""
     x = in_range(x)[0]
-    if counts is None:
-        xc = x - x.mean(axis=0)
-    else:
-        c = counts[:, None]
-        xc = (x - np.sum(c * x, axis=0) / counts.sum()) * np.sqrt(c)
+    c = np.ones((len(x), 1)) if counts is None else counts[:, None]
+    xc = (x - np.sum(c * x, axis=0) / np.sum(c)) * np.sqrt(c)
     _, _, vh = np.linalg.svd(xc, full_matrices=False)
     if vh.shape[0] < q:
         _, _, vh = np.linalg.svd(xc, full_matrices=True)
     return vh[:q].T.copy()
 
 
-def _means_step(
-    y: np.ndarray, f: np.ndarray, y_sq: np.ndarray, weights: np.ndarray | None = None
-) -> tuple:
-    """Assign -> repair -> means for a stack of restarts: scores y (w, n, d),
-    with y_sq = _row_sums(y * y) (one row of it when the w slices are one
-    array), against centers f (w, k, d), which a repair mutates. A repair
-    counts rows, whatever their weights (n,). Returns (cluster means, labels,
-    sizes), the sizes being the clusters' weight sums when rows are
-    weighted."""
+def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray, tiled: np.ndarray) -> tuple:
+    """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
+    with the row weights (n,) tiled at least w times, and y_sq =
+    _row_sums(y * y) (one row of it when the w slices are one array),
+    against centers f (w, k, d), which a repair mutates. A repair counts
+    rows, whatever their weights. Returns (cluster means, labels, the
+    clusters' weight sums)."""
+    k, weights = f.shape[1], tiled[:y.shape[-2]]
     labels = _nearest(y, f, y_sq)[0]
-    sizes = _stacked_counts(labels, f.shape[1])
+    sizes = _stacked_counts(labels, k, tiled)
     for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
-        repair_empty_clusters(y[r], f[r], labels[r], sizes[r])
-    if weights is not None:
-        sizes = _stacked_counts(labels, f.shape[1], weights)
+        repair_empty_clusters(y[r], f[r], labels[r], np.bincount(labels[r], minlength=k))
+        sizes[r] = np.bincount(labels[r], weights, minlength=k)
     return _stacked_means(y, labels, sizes, weights), labels, sizes
 
 
@@ -347,18 +338,18 @@ def sweep_restarts(
     loading at the identity, so every restart scores x itself and each sweep
     is a Lloyd step (plain k-means). x and a are only read.
 
-    Optional positive integer ``counts`` (n,) make row i stand for counts[i]
-    copies of itself, so the fit is that of the N = sum(counts) expanded
-    rows: the seeding, the means, the polar step on (UF)'CX and every loss
-    are count-weighted, while a repair still moves one whole row. Unit
-    counts give the bits of ``counts = None``.
+    Positive integer ``counts`` (n,), default once each, make row i stand
+    for counts[i] copies of itself, so the fit is that of the N =
+    sum(counts) expanded rows: the seeding, the means, the polar step on
+    (UF)'CX and every loss are count-weighted, while a repair still moves
+    one whole row.
 
     Restarts that stop leave the stack, so each one sees exactly the
     arithmetic of a run on its own: the result does not depend on w.
     Returns one (a, f, labels, trace) per restart. The trace holds each
     sweep's loss, then the final one: the loss of the finalized labels. A
     sweep ends on a means step, so its loss is (|x|^2 - sum_j n_j |f_j|^2) / N
-    for cluster sizes n_j (N = n without counts): with f_j the mean of its
+    for cluster sizes n_j, all count-weighted: with f_j the mean of its
     cluster's scores and a'a = I, the projected sum of squares |xa|^2
     cancels. Finalizing sets the labels to the nearest-center argmin for
     (a, f), ties to the smallest index, and repairs any cluster that leaves
@@ -367,12 +358,15 @@ def sweep_restarts(
     """
     n, w = x.shape[0], len(rngs)
     held = a is None
-    # the rows' weights as doubles, and the number of rows they stand for
-    weights = None if counts is None else counts.astype(np.float64)
-    total = n if counts is None else int(counts.sum())
+    counts = np.ones(n, dtype=np.int64) if counts is None else counts
+    # the rows' weights as doubles, tiled once for the stack's bincounts, and
+    # the number of rows they stand for
+    weights, total = counts.astype(np.float64), int(counts.sum())
+    tiled = np.tile(weights, w)
     squares = x * x
-    sx = float(np.sum(squares if weights is None else weights[:, None] * squares))
     y_sq = _row_sums(squares) if held else None
+    squares *= weights[:, None]
+    sx = float(np.sum(squares))
     del squares  # freed before the scores buffer is taken
     if held:
         # a zero-stride stack: the restarts share x and never copy it
@@ -384,10 +378,10 @@ def sweep_restarts(
         y = np.matmul(x, a, out=scores)
         a_end = np.empty_like(a)
         # the polar step's CX, formed once
-        cx = x if weights is None else weights[:, None] * x
+        cx = weights[:, None] * x
     f = np.stack([kmeans_pp_init(y[j], k, rng, counts) for j, rng in enumerate(rngs)])
     if not held:
-        f, labels, _ = _means_step(y, f, _row_sums(y * y), weights)
+        f, labels, _ = _means_step(y, f, _row_sums(y * y), tiled)
     f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
@@ -397,7 +391,7 @@ def sweep_restarts(
             a = _stacked_polar(cx, labels, f)
             y = np.matmul(x, a, out=scores[:len(live)])
             y_sq = _row_sums(y * y)
-        f, labels, sizes = _means_step(y, f, y_sq, weights)
+        f, labels, sizes = _means_step(y, f, y_sq, tiled)
         # the means-step identity; clamped, as the terms cancel at zero loss
         within = _row_sums(sizes * _row_sums(f * f))
         loss = np.maximum((sx - within) / total, 0.0)
@@ -427,18 +421,16 @@ def sweep_restarts(
     # row sums of the flattened squares add in the order np.sum takes over
     # one restart's n x q scores
     squares = y_end * y_end
-    if weights is not None:
-        squares *= weights[:, None]
+    squares *= weights[:, None]
     sy = np.sum(squares.reshape(w, -1), axis=-1)
     del squares  # freed before the distance block is taken
     nearest, low = _nearest(y_end, f_end)
-    sizes = _stacked_counts(nearest, f_end.shape[1])
-    d_sums = (low if weights is None else low * weights).sum(axis=-1)
+    sizes = _stacked_counts(nearest, f_end.shape[1], tiled)
+    d_sums = (low * weights).sum(axis=-1)
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
     for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
-        labels[r], d_sums[r] = _finalize_repairs(
-            y_end[r], f_end[r], nearest[r], sizes[r], weights)
+        labels[r], d_sums[r] = _finalize_repairs(y_end[r], f_end[r], nearest[r], weights)
     # orthogonal residual plus projected nearest distances
     loss = np.maximum((sx - sy + d_sums) / total, 0.0).tolist()
     for r in range(w):
@@ -447,29 +439,28 @@ def sweep_restarts(
 
 
 def _finalize_repairs(
-    y: np.ndarray, f: np.ndarray, labels: np.ndarray, counts: np.ndarray,
-    weights: np.ndarray | None = None,
+    y: np.ndarray, f: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Finalize of one restart whose nearest-center labels left a cluster
     empty: repair, retake the argmin, up to k more times, because a repair
-    can empty another cluster under the next argmin. Returns the labels and
-    the sum of their squared distances, each times its row's weight if
-    weights are given."""
+    can empty another cluster under the next argmin. A repair counts rows,
+    whatever their weights. Returns the labels and the sum of their squared
+    distances, each times its row's weight."""
     k = f.shape[0]
+    counts = np.bincount(labels, minlength=k)
     for _ in range(k):
         repair_empty_clusters(y, f, labels, counts)
         labels, low = _nearest(y, f)
         counts = np.bincount(labels, minlength=k)
         if np.all(counts > 0):
-            return labels, float((low if weights is None else low * weights).sum())
+            return labels, float((low * weights).sum())
     # every argmin left a cluster empty, as it must with fewer distinct
     # projected rows than k (equal rows share their argmin center); one more
     # repair leaves every cluster non-empty, and the loss is in assigned form
     repair_empty_clusters(y, f, labels, counts)
     diff = y - f[labels]
     squares = diff * diff
-    if weights is not None:
-        squares *= weights[:, None]
+    squares *= weights[:, None]
     return labels, float(np.sum(squares))
 
 
@@ -479,11 +470,11 @@ def best_restart(
 ) -> tuple:
     """The best of the restarts sweep_restarts runs on x, one per generator
     in rngs, with restart r starting from the loading a[r] (a = None holds
-    it at the identity), its rows weighted by the optional integer counts.
-    The restarts run in batch_width's batches on in_range's scale of x. The
-    winner has the lowest final loss at that scale, ties to the smallest
-    index. Returns (r, a, f, labels, trace) of the winner, whose f and trace
-    alone are scaled back by scaled_fit."""
+    it at the identity), its rows counted by the integer counts (default
+    once each). The restarts run in batch_width's batches on in_range's
+    scale of x. The winner has the lowest final loss at that scale, ties to
+    the smallest index. Returns (r, a, f, labels, trace) of the winner,
+    whose f and trace alone are scaled back by scaled_fit."""
     x, e = in_range(x)
     width = batch_width(x.shape[0], k, len(rngs))
     best = None

@@ -301,8 +301,8 @@ def consistency_experiment(
     their counts (np.unique of the draw), and the VR is
     ``_kernels.weighted_vr`` at those counts: the loss and the VR are the
     n-row sample's, to rounding. A draw with fewer distinct atoms than k
-    cannot give every cluster a row of its own; that rep fits its n rows
-    unweighted, and its VR is the sample's ``vr_hat``.
+    cannot give every cluster a row of its own; that rep fits its n rows,
+    each counted once, and its VR is the sample's ``vr_hat``.
     """
     config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
     if reps < 1:
@@ -334,13 +334,12 @@ def consistency_experiment(
             if rows.size < k:
                 # too few distinct atoms to give every cluster a row of its
                 # own: fit the full draw, each row once
-                rows, counts = idx, None
+                rows, counts = idx, np.ones(n, dtype=np.int64)
             x = pop.atoms[rows]
             sol = fit_rkm(DataMatrix(x), replace(config, seed=spawn_seed(seed, n, r, 1)),
                           counts=counts)
             try:
-                vr = _kernels.weighted_vr(x, np.ones(n) if counts is None else counts,
-                                          sol.loading.values, sol.centroids.values)
+                vr = _kernels.weighted_vr(x, counts, sol.loading.values, sol.centroids.values)
             except DegenerateDataError:
                 vr = float("nan")
             values = (

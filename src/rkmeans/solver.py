@@ -92,8 +92,8 @@ def fit_rkm(
     of X: the fit is then that of X with row i repeated counts[i] times, at
     the cost of X's n rows. Its loss is the expanded sample's mean-per-object
     objective, its principal axes and k-means++ draws are the count-weighted
-    ones, and its assignment labels X's n rows. Unit counts give the bits of
-    the unweighted fit. X must still have at least k rows.
+    ones, and its assignment labels X's n rows. Without counts each row
+    counts once. X must still have at least k rows.
 
     The returned solution is finalized so that its assignment is the nearest-
     centroid rule for its (loading, centroids) and its loss is exactly the
@@ -101,15 +101,14 @@ def fit_rkm(
     minimizer.
     """
     config.validate_against(X)
-    if counts is not None:
-        counts = np.asarray(counts)
-        if counts.shape != (X.n,):
-            raise ValueError(f"counts must hold one entry per row of the data (n={X.n}), "
-                             f"got shape {counts.shape}")
-        if counts.dtype.kind not in "iu":
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        if np.any(counts < 1):
-            raise ValueError("counts must be positive")
+    counts = np.ones(X.n, dtype=np.int64) if counts is None else np.asarray(counts)
+    if counts.shape != (X.n,):
+        raise ValueError(f"counts must hold one entry per row of the data (n={X.n}), "
+                         f"got shape {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    if np.any(counts < 1):
+        raise ValueError("counts must be positive")
     a0 = _starts(config, _kernels.principal_axes(X.values, config.q, counts))
     return _solve(X, config, a0, counts)
 
@@ -118,11 +117,11 @@ def _solve(
     X: DataMatrix, config: SolverConfig, a0: np.ndarray | None = None,
     counts: np.ndarray | None = None,
 ) -> RkmSolution:
-    """best_restart on X, its rows weighted by the optional counts, as a
-    solution, from the stacked starting loadings a0, or with the loading held
-    at the identity if a0 is None. Both solvers seed restart r's centroids
-    from the stream (seed, r), so they match restart for restart when q == p;
-    a loading draw has its own stream."""
+    """best_restart on X, its rows counted by the integer counts (default
+    once each), as a solution, from the stacked starting loadings a0, or
+    with the loading held at the identity if a0 is None. Both solvers seed
+    restart r's centroids from the stream (seed, r), so they match restart
+    for restart when q == p; a loading draw has its own stream."""
     r, a, f, labels, trace = _kernels.best_restart(
         X.values, a0, config.k,
         [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,

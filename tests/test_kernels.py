@@ -182,7 +182,7 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
     seed_centers = _kernels.kmeans_pp_init
     seeded = []
 
-    def recording(y, k, rng, counts=None):
+    def recording(y, k, rng, counts):
         seeded.append(seed_centers(y, k, rng, counts))
         return seeded[-1]
 

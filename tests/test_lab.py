@@ -608,12 +608,12 @@ class TestConsistencyExperiment:
 
     def test_too_few_distinct_atoms_fit_the_full_draw(self, monkeypatch):
         # three atoms, k = 3: a draw that misses an atom cannot give every
-        # cluster a row of its own, so that rep fits its n rows unweighted,
-        # bit for bit; the other reps take the weighted path
+        # cluster a row of its own, so that rep fits its n rows, each counted
+        # once, bit for bit; the other reps fit k distinct atoms
         paths = []
         real = lab.fit_rkm
-        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg, counts=None: paths.append(
-            counts is None) or real(X, cfg, counts=counts))
+        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg, counts: paths.append(
+            np.unique(X.values, axis=0).shape[0] < cfg.k) or real(X, cfg, counts=counts))
         pop = PopulationSpec(np.array([[-2.0, 0.5], [0.2, 0.1], [2.5, -0.4]]), np.full(3, 1 / 3))
         report = consistency_experiment(pop, k=3, q=1, n_grid=(3, 4), reps=6, restarts=3,
                                         seed=5)

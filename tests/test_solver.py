@@ -187,7 +187,7 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
             _, _, _, trace = _kernels.sweep_restarts(
                 X.values, None if held else a0[None], 3, [spawn_rng(seed, 0)], 300, counts)[0]
             A = LoadingMatrix(a0)
-            F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0), counts))
+            F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0), c))
             if not held:
                 U = assign(X, A, F)
                 F = _centroid_step(full, expand(U), A)
@@ -211,16 +211,16 @@ def _unit_counts_cases(seed):
         yield case, x, q, k
 
 
-@pytest.mark.parametrize("width", [1, 3, 7])
-def test_unit_counts_keep_the_unweighted_bits(width, monkeypatch):
-    # counts of 1 are the unweighted fit: fit_rkm, and the held loading's
-    # path through best_restart, give the same bits at every batch width
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+def test_counts_default_to_once_each(dtype):
+    # leaving counts out is counting each row once, in any integer dtype:
+    # fit_rkm, and the held loading's path through best_restart, give the
+    # same bits either way
     from rkmeans import _kernels
     from rkmeans._seeds import spawn_rng
 
-    for case, x, q, k in _unit_counts_cases(width):
-        monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * x.shape[0] * k)
-        ones = np.ones(x.shape[0], dtype=np.int64)
+    for case, x, q, k in _unit_counts_cases(3):
+        ones = np.ones(x.shape[0], dtype=dtype)
         config = SolverConfig(k=k, q=q, restarts=7, seed=case)
         plain, unit = fit_rkm(DataMatrix(x), config), fit_rkm(DataMatrix(x), config, counts=ones)
         assert (plain.restart_index, plain.sweep_losses) == (unit.restart_index, unit.sweep_losses)
@@ -229,7 +229,7 @@ def test_unit_counts_keep_the_unweighted_bits(width, monkeypatch):
             a, b = (a.labels, b.labels) if part == "assignment" else (a.values, b.values)
             assert a.tobytes() == b.tobytes(), f"case {case}, {part}"
         held = [_kernels.best_restart(x, None, k, [spawn_rng(case, r) for r in range(7)], 300,
-                                      counts) for counts in (None, ones)]
+                                      *counts) for counts in ((), (ones,))]
         assert held[0][0] == held[1][0] and held[0][4] == held[1][4], f"case {case}"
         for got, want in zip(held[0][2:4], held[1][2:4]):
             assert got.tobytes() == want.tobytes(), f"case {case}"
@@ -301,9 +301,8 @@ def test_finalize_repairs_weigh_each_row(y, f, weights):
 
     y, f, weights = np.array(y), np.array(f), np.array(weights)
     labels = _kernels.assign_to_nearest(y, f)
-    sizes = np.bincount(labels, minlength=len(f))
-    assert np.any(sizes == 0)
-    labels, loss = _kernels._finalize_repairs(y, f, labels, sizes, weights)
+    assert np.any(np.bincount(labels, minlength=len(f)) == 0)
+    labels, loss = _kernels._finalize_repairs(y, f, labels, weights)
     assert np.all(np.bincount(labels, minlength=len(f)) > 0)
     assert loss > 0.0
     assert loss == np.sum(weights * np.sum((y - f[labels]) ** 2, axis=1))
@@ -579,7 +578,7 @@ def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
     seed_centers = _kernels.kmeans_pp_init
     seen = []
 
-    def recording(y, k, rng, counts=None):
+    def recording(y, k, rng, counts):
         seen.append(stream(rng))
         return seed_centers(y, k, rng, counts)
 
