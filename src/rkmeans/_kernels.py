@@ -105,14 +105,12 @@ def _row_sums(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def _distance_block(
-    y: np.ndarray, centers: np.ndarray, y_sq: np.ndarray | None = None
-) -> np.ndarray:
+def _distance_block(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances (|y|^2 + |c|^2) - 2 y'c clamped at 0, center-major:
-    y (..., n, d) against centers (..., k, d) gives (k, ..., n). y_sq, if
-    given, is _row_sums(y * y) already at hand."""
-    if y_sq is None:
-        y_sq = _row_sums(y * y)  # before d, so the squares are freed first
+    y (..., n, d) against centers (..., k, d) gives (k, ..., n). Restarts
+    that share one array (a zero-stride stack) share its row sums."""
+    rows = y[:1] if y.ndim > 2 and y.strides[0] == 0 else y
+    y_sq = _row_sums(rows * rows)  # before d, so the squares are freed first
     d = np.empty((centers.shape[-2], *y.shape[:-1]))
     np.matmul(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
     d *= -2.0
@@ -123,12 +121,10 @@ def _distance_block(
     return d
 
 
-def _nearest(
-    y: np.ndarray, centers: np.ndarray, y_sq: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(y: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (..., n) and their squared distances, with
     argmin's choice: the first center at the minimum."""
-    d = _distance_block(y, centers, y_sq)
+    d = _distance_block(y, centers)
     low, labels = d[0], np.zeros(d.shape[1:], dtype=np.intp)
     for j in range(1, len(d)):
         # j tops every label so far, so a maximum writes it branch-free; the
@@ -171,15 +167,14 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
 
 
 def kmeans_pp_init(
-    y: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
+    y: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray
 ) -> np.ndarray:
-    """k-means++ seeding on rows y with positive integer counts (default
-    once each), row i standing for counts[i] copies of itself: k rows of y,
-    each drawn with probability proportional to squared distance from the
-    centers already chosen. The first center is copy rng.integers(N) of the
-    N = sum(counts), later ones are drawn in proportion to counts * d2."""
+    """k-means++ seeding on rows y with positive integer counts, row i
+    standing for counts[i] copies of itself: k rows of y, each drawn with
+    probability proportional to squared distance from the centers already
+    chosen. The first center is copy rng.integers(N) of the N =
+    sum(counts), later ones are drawn in proportion to counts * d2."""
     n = y.shape[0]
-    counts = np.ones(n, dtype=np.int64) if counts is None else counts
     cum = np.cumsum(counts)
 
     def any_row() -> int:
@@ -213,9 +208,9 @@ def assign_to_nearest(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _nearest(y, centers)[0]
 
 
-def cluster_means(y: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-cluster mean rows. Caller guarantees counts > 0 everywhere."""
-    return _stacked_means(y[None], labels[None], counts[None], np.ones(len(y)))[0]
+def cluster_means(y: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-cluster mean rows. Caller guarantees sizes > 0 everywhere."""
+    return _stacked_means(y[None], labels[None], sizes[None], np.ones(len(y)))[0]
 
 
 def _offset(labels: np.ndarray, k: int) -> np.ndarray:
@@ -224,11 +219,12 @@ def _offset(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
-def _stacked_counts(labels: np.ndarray, k: int, tiled: np.ndarray) -> np.ndarray:
+def _stacked_counts(labels: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
     """The weight each cluster holds (w, k) in a stack of labels (w, n), for
-    the row weights (n,) tiled at least w times."""
+    the row weights (n,)."""
     w = labels.shape[0]
-    return np.bincount(_offset(labels, k), tiled[:labels.size], minlength=w * k).reshape(w, k)
+    stacked = np.broadcast_to(weights, labels.shape).ravel()
+    return np.bincount(_offset(labels, k), stacked, minlength=w * k).reshape(w, k)
 
 
 def _stacked_means(
@@ -249,29 +245,28 @@ def _stacked_means(
     return sums
 
 
-def repair_empty_clusters(
-    y: np.ndarray, centers: np.ndarray, labels: np.ndarray, counts: np.ndarray
-) -> None:
-    """Give every empty cluster one point: a member of a cluster with at least
-    two points, chosen farthest from its own center. Mutates centers, labels
-    and counts; y is only read.
+def repair_empty_clusters(y: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
+    """Give every empty cluster one row: a member of a cluster with at least
+    two rows, chosen farthest from its own center. A row counts once,
+    whatever its weight. Mutates centers and labels; y is only read.
 
-    Moving the point onto the empty center (distance zero) never increases the
+    Moving the row onto the empty center (distance zero) never increases the
     assigned loss, and a donor always exists when n >= k (pigeonhole), so the
     loop terminates with every cluster non-empty.
     """
+    sizes = np.bincount(labels, minlength=len(centers))
     while True:
-        empty = np.flatnonzero(counts == 0)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size == 0:
             return
         j = int(empty[0])
         diff = y - centers[labels]
         d_own = _row_sums(diff * diff)
-        d_own[counts[labels] < 2] = -1.0
+        d_own[sizes[labels] < 2] = -1.0
         i = int(d_own.argmax())
-        counts[labels[i]] -= 1
+        sizes[labels[i]] -= 1
         labels[i] = j
-        counts[j] = 1
+        sizes[j] = 1
         centers[j] = y[i]
 
 
@@ -306,18 +301,15 @@ def principal_axes(x: np.ndarray, q: int, counts: np.ndarray | None = None) -> n
     return vh[:q].T.copy()
 
 
-def _means_step(y: np.ndarray, f: np.ndarray, y_sq: np.ndarray, tiled: np.ndarray) -> tuple:
+def _means_step(y: np.ndarray, f: np.ndarray, weights: np.ndarray) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
-    with the row weights (n,) tiled at least w times, and y_sq =
-    _row_sums(y * y) (one row of it when the w slices are one array),
-    against centers f (w, k, d), which a repair mutates. A repair counts
-    rows, whatever their weights. Returns (cluster means, labels, the
-    clusters' weight sums)."""
-    k, weights = f.shape[1], tiled[:y.shape[-2]]
-    labels = _nearest(y, f, y_sq)[0]
-    sizes = _stacked_counts(labels, k, tiled)
+    with the row weights (n,) against centers f (w, k, d), which a repair
+    mutates. Returns (cluster means, labels, the clusters' weight sums)."""
+    k = f.shape[1]
+    labels = _nearest(y, f)[0]
+    sizes = _stacked_counts(labels, k, weights)
     for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
-        repair_empty_clusters(y[r], f[r], labels[r], np.bincount(labels[r], minlength=k))
+        repair_empty_clusters(y[r], f[r], labels[r])
         sizes[r] = np.bincount(labels[r], weights, minlength=k)
     return _stacked_means(y, labels, sizes, weights), labels, sizes
 
@@ -359,12 +351,9 @@ def sweep_restarts(
     n, w = x.shape[0], len(rngs)
     held = a is None
     counts = np.ones(n, dtype=np.int64) if counts is None else counts
-    # the rows' weights as doubles, tiled once for the stack's bincounts, and
-    # the number of rows they stand for
+    # the rows' weights as doubles and the number of rows they stand for
     weights, total = counts.astype(np.float64), int(counts.sum())
-    tiled = np.tile(weights, w)
     squares = x * x
-    y_sq = _row_sums(squares) if held else None
     squares *= weights[:, None]
     sx = float(np.sum(squares))
     del squares  # freed before the scores buffer is taken
@@ -381,7 +370,7 @@ def sweep_restarts(
         cx = weights[:, None] * x
     f = np.stack([kmeans_pp_init(y[j], k, rng, counts) for j, rng in enumerate(rngs)])
     if not held:
-        f, labels, _ = _means_step(y, f, _row_sums(y * y), tiled)
+        f, labels, _ = _means_step(y, f, weights)
     f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
@@ -390,8 +379,7 @@ def sweep_restarts(
         if not held:
             a = _stacked_polar(cx, labels, f)
             y = np.matmul(x, a, out=scores[:len(live)])
-            y_sq = _row_sums(y * y)
-        f, labels, sizes = _means_step(y, f, y_sq, tiled)
+        f, labels, sizes = _means_step(y, f, weights)
         # the means-step identity; clamped, as the terms cancel at zero loss
         within = _row_sums(sizes * _row_sums(f * f))
         loss = np.maximum((sx - within) / total, 0.0)
@@ -425,7 +413,7 @@ def sweep_restarts(
     sy = np.sum(squares.reshape(w, -1), axis=-1)
     del squares  # freed before the distance block is taken
     nearest, low = _nearest(y_end, f_end)
-    sizes = _stacked_counts(nearest, f_end.shape[1], tiled)
+    sizes = _stacked_counts(nearest, f_end.shape[1], weights)
     d_sums = (low * weights).sum(axis=-1)
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
@@ -443,21 +431,18 @@ def _finalize_repairs(
 ) -> tuple[np.ndarray, float]:
     """Finalize of one restart whose nearest-center labels left a cluster
     empty: repair, retake the argmin, up to k more times, because a repair
-    can empty another cluster under the next argmin. A repair counts rows,
-    whatever their weights. Returns the labels and the sum of their squared
-    distances, each times its row's weight."""
+    can empty another cluster under the next argmin. Returns the labels and
+    the sum of their squared distances, each times its row's weight."""
     k = f.shape[0]
-    counts = np.bincount(labels, minlength=k)
     for _ in range(k):
-        repair_empty_clusters(y, f, labels, counts)
+        repair_empty_clusters(y, f, labels)
         labels, low = _nearest(y, f)
-        counts = np.bincount(labels, minlength=k)
-        if np.all(counts > 0):
+        if np.all(np.bincount(labels, minlength=k) > 0):
             return labels, float((low * weights).sum())
     # every argmin left a cluster empty, as it must with fewer distinct
     # projected rows than k (equal rows share their argmin center); one more
     # repair leaves every cluster non-empty, and the loss is in assigned form
-    repair_empty_clusters(y, f, labels, counts)
+    repair_empty_clusters(y, f, labels)
     diff = y - f[labels]
     squares = diff * diff
     squares *= weights[:, None]

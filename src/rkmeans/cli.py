@@ -342,7 +342,9 @@ def _cmd_bench_agreement(args) -> int:
 def _cmd_rate_bound(args) -> int:
     result = rate_bound(args.n, args.clusters, args.p, args.radius, args.epsilon)
     if args.output:
-        return _emit(args, {"bound": result.bound, "raw": result.raw})
+        # a raw bound past the largest double has no JSON number
+        raw = None if result.raw == float("inf") else result.raw
+        return _emit(args, {"bound": result.bound, "raw": raw})
     sys.stdout.write(f"bound: {result.bound}\nraw: {result.raw}\n")
     return 0
 

@@ -229,7 +229,8 @@ class ResultDocument:
             "metrics": self.metrics,
             "timing": self.timing,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # strict JSON: a NaN or infinity is a ValueError, not a bare token
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

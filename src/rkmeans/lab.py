@@ -199,17 +199,26 @@ class ConvergenceReport:
         return len(self.losses[int(n)])
 
     def median(self, field: str, n: int) -> float:
-        return float(np.nanmedian(getattr(self, field)[int(n)]))
+        """The median of a record's reps at n, NaN ones left out; NaN if all are."""
+        values = np.asarray(getattr(self, field)[int(n)])
+        return math.nan if np.isnan(values).all() else float(np.nanmedian(values))
 
     def iqr(self, field: str, n: int) -> float:
+        """The interquartile range of a record's reps at n, as median's."""
         values = np.asarray(getattr(self, field)[int(n)])
+        if np.isnan(values).all():
+            return math.nan
         q1, q3 = np.nanquantile(values, [0.25, 0.75])
         return float(q3 - q1)
 
     def summary(self) -> dict:
+        """Each record's median and iqr per n; a NaN one is None."""
+        def stat(value):
+            return None if math.isnan(value) else value
+
         return {
             label: {
-                n: {"median": self.median(field, n), "iqr": self.iqr(field, n)}
+                n: {"median": stat(self.median(field, n)), "iqr": stat(self.iqr(field, n))}
                 for n in self.n_grid
             }
             for field, label in _RECORDS

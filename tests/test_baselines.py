@@ -123,6 +123,13 @@ def test_1d_exact_rejects_unsorted():
         kmeans_1d_exact([3.0, 1.0, 2.0], 2)
     with pytest.raises(ValueError):
         kmeans_1d_exact([1.0], 2)  # k > n
+    with pytest.raises(ValueError, match="non-empty"):
+        kmeans_1d_exact([], 1)
+    with pytest.raises(ValueError, match="match values in length"):
+        kmeans_1d_exact([1.0, 2.0], 1, weights=[1.0])
+    for weights in ([1.0, -1.0, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative with positive sum"):
+            kmeans_1d_exact([1.0, 2.0, 3.0], 2, weights=weights)
 
 
 @pytest.mark.parametrize("values, weights", [

@@ -15,6 +15,14 @@ from rkmeans import load_csv, write_labels_csv, write_matrix_csv
 from rkmeans.cli import main
 
 
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens, as RFC 8259 does."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture(scope="module")
 def blob_dir(tmp_path_factory):
     """Two tight, well-separated blobs on the x-axis plus a truth file."""
@@ -270,10 +278,21 @@ class TestBenchCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["atoms"] == str(atoms)
         assert payload["solution"]["report"]["oracle_loss"] == pytest.approx(0.0, abs=1e-12)
+        # one atom: every rep's VR is NaN, so its summary holds nulls
+        atoms.write_text("x,y\n1,0.5\n")
+        args = ["bench-consistency", "--atoms", str(atoms), "--clusters", "1",
+                "--n-grid", "5", "--reps", "2", "--restarts", "2"]
+        assert main(args) == 0
+        solution = strict_json(capsys.readouterr().out)["solution"]
+        assert solution["report"]["vr_values"]["5"] == [None, None]
+        assert solution["summary"]["vr"]["5"] == {"median": None, "iqr": None}
 
     def test_bad_n_grid_is_a_usage_error(self, capsys):
         assert main(["bench-consistency", "--n-grid", "5,abc"]) == 1
         assert "usage error" in capsys.readouterr().err
+        for grid in ("5,0", ","):
+            assert main(["bench-consistency", "--n-grid", grid]) == 1
+            assert "sizes must be >= 1" in capsys.readouterr().err
 
     def test_n_grid_below_k_is_a_data_error(self, capsys):
         args = ["bench-consistency", "--n-grid", "1", "--reps", "1"]
@@ -351,7 +370,7 @@ class TestRateBound:
         assert lines[1].startswith("raw: ")
         assert float(lines[1].split(": ")[1]) == pytest.approx(128.0 / math.e, rel=1e-12)
 
-    def test_json_output(self, tmp_path):
+    def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "bound.json"
         args = ["rate-bound", "--n", "100000", "--clusters", "2", "--p", "3",
                 "--radius", "1", "--epsilon", "1", "--output", str(out)]
@@ -360,6 +379,13 @@ class TestRateBound:
         assert doc["command"] == "rate-bound"
         assert 0.0 <= doc["solution"]["bound"] <= 1.0
         assert doc["solution"]["raw"] < 1.0
+        # JSON has no infinity: the document writes null, the text inf
+        args = ["rate-bound", "--n", "100", "--clusters", "100", "--p", "10",
+                "--radius", "1", "--epsilon", "1.2"]
+        assert main([*args, "--output", str(out)]) == 0
+        assert strict_json(out.read_text())["solution"] == {"bound": 1.0, "raw": None}
+        assert main(args) == 0
+        assert capsys.readouterr().out == "bound: 1.0\nraw: inf\n"
 
     def test_precondition_violation_is_a_data_error(self, capsys):
         args = ["rate-bound", "--n", "2", "--clusters", "1", "--p", "1",

@@ -1,5 +1,6 @@
 """CSV parsing, matrix payloads, and the versioned result document."""
 import csv
+import dataclasses
 import io
 import os
 import random
@@ -367,6 +368,8 @@ class TestWritersMatchCsvWriter:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, [1.0, -0.0, 2.5])
         assert path.read_bytes() == b"1.0,-0.0,2.5\r\n"
+        with pytest.raises(ValueError, match="expected a matrix"):
+            write_matrix_csv(path, np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("header", ["label"])
     def test_label_bytes(self, tmp_path, header):
@@ -395,6 +398,10 @@ class TestResultDocument:
         assert text.index('"command"') < text.index('"config"') < text.index('"metrics"')
         assert '"schema_version": "1"' in text
         assert self.make().to_json() == text
+        # JSON has no NaN or infinity; writing one is an error
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                dataclasses.replace(self.make(), solution={"loss": value}).to_json()
 
     def test_timing_excluded_from_equality(self):
         fast = self.make(timing={"fit_seconds": 0.1})

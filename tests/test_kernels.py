@@ -206,6 +206,6 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
                 u, _, vh = np.linalg.svd(spawn_rng(case, r, 1).standard_normal((p, q)),
                                          full_matrices=False)
                 a = u @ vh
-            f = seed_centers(x @ a, k, spawn_rng(case, r))
+            f = seed_centers(x @ a, k, spawn_rng(case, r), np.ones(n, int))
             assert a0[r].tobytes() == a.tobytes(), f"case {case}, restart {r}"
             assert seeded[r].tobytes() == f.tobytes(), f"case {case}, restart {r}"

@@ -381,6 +381,15 @@ class TestConvergenceReport:
         assert doc["losses"]["5"] == [0.1, 0.2]
         assert doc["n_grid"] == [5]
         assert report.median("vr_values", 5) == 0.5
+        # numpy's nan-reductions warn on an all-NaN slice; the report's own
+        # statistics are NaN without a warning, and None in the summary
+        report = self.make(vr=(float("nan"), float("nan")))
+        assert math.isnan(report.median("vr_values", 5))
+        assert math.isnan(report.iqr("vr_values", 5))
+        summary = report.summary()
+        assert summary["vr"][5] == {"median": None, "iqr": None}
+        assert summary["loss"][5] == {"median": report.median("losses", 5),
+                                      "iqr": report.iqr("losses", 5)}
 
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError, match="keyed exactly"):
@@ -516,6 +525,16 @@ class TestConsistencyExperiment:
 
     def test_bit_identical_reruns(self):
         assert self.run_small().to_json_dict() == self.run_small().to_json_dict()
+
+    def test_one_atom_has_no_variance_ratio(self):
+        # every projection of a one-atom population is one point: neither
+        # the oracle's VR nor any rep's is defined
+        report = consistency_experiment(PopulationSpec([[1.0, 0.5]], [1.0]), k=1, q=1,
+                                        n_grid=(5,), reps=2, restarts=2)
+        assert report.oracle_vr is None
+        assert all(math.isnan(v) for v in report.vr_values[5])
+        assert report.losses[5] == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert report.summary()["vr"][5] == {"median": None, "iqr": None}
 
     def test_oracle_solves_each_cluster_count_once(self, monkeypatch):
         # the distinctness check's k-cluster solution is the optimum itself

@@ -58,6 +58,8 @@ def test_vr_hat_degenerate_projections():
     sol = _solution([[1.0], [0.0]], [[1.0]], [0, 0], 1)
     with pytest.raises(DegenerateDataError):
         vr_hat(X, sol)
+    with pytest.raises(ValueError, match="solution has p=2 but data has p=3"):
+        vr_hat(DataMatrix([[1.0, 5.0, 0.0], [1.0, 7.0, 0.0]]), sol)
 
 
 def test_vr_hat_rotation_and_scale_invariance():

@@ -170,8 +170,8 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
 
     def assign(X, A, F):
         U = assign_clusters(X, A, F)
-        labels, counts = U.labels.copy(), U.cluster_sizes()
-        _kernels.repair_empty_clusters(X.values @ A.values, F.values.copy(), labels, counts)
+        labels = U.labels.copy()
+        _kernels.repair_empty_clusters(X.values @ A.values, F.values.copy(), labels)
         return Assignment(labels, F.k)
 
     for seed in range(8):
@@ -277,7 +277,7 @@ def test_counts_seed_and_start_as_the_expanded_rows():
         full = np.repeat(x, counts, axis=0)
         if case % 2:
             got = _kernels.kmeans_pp_init(x, k, spawn_rng(case, 0), counts)
-            want = _kernels.kmeans_pp_init(full, k, spawn_rng(case, 0))
+            want = _kernels.kmeans_pp_init(full, k, spawn_rng(case, 0), np.ones(len(full), int))
             assert got.tobytes() == want.tobytes(), f"case {case}"
         spectrum = np.linalg.svd(full - full.mean(axis=0), compute_uv=False)
         if q < x.shape[1] and (q >= len(spectrum) or spectrum[q - 1] - spectrum[q] < 1e-6):
@@ -320,9 +320,9 @@ def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
     repair = _kernels.repair_empty_clusters
     moved = []
 
-    def recording(y, centers, labels, sizes):
+    def recording(y, centers, labels):
         before = labels.copy()
-        repair(y, centers, labels, sizes)
+        repair(y, centers, labels)
         moved.extend(np.flatnonzero(labels != before).tolist())
 
     monkeypatch.setattr(_kernels, "repair_empty_clusters", recording)

@@ -54,6 +54,11 @@ def test_loading_matrix_orthonormality():
     # just inside the documented tolerance is accepted
     eps = 0.5 * ORTHONORMALITY_TOL
     LoadingMatrix(np.array([[1.0, eps], [0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be 2-D"):
+        LoadingMatrix(np.ones(3))
+    # a NaN fails no orthonormality comparison, so it needs its own check
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        LoadingMatrix([[np.nan], [0.0]])
 
 
 def test_assignment_checks_range():
@@ -67,6 +72,8 @@ def test_assignment_checks_range():
         Assignment([-1, 0], 2)
     with pytest.raises(ValueError):
         Assignment([], 1)
+    with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+        Assignment([0], 0)
 
 
 def test_centroid_set_validation():
@@ -76,6 +83,8 @@ def test_centroid_set_validation():
         CentroidSet(np.empty((0, 2)))
     with pytest.raises(ValueError):
         CentroidSet([[np.nan]])
+    with pytest.raises(ValueError, match="must be 2-D"):
+        CentroidSet([1.0, 2.0])
 
 
 def test_rkm_solution_invariants():
@@ -155,3 +164,7 @@ def test_shape_mismatch_errors():
         assigned_objective(X, A, F, Assignment([0], 1))  # n mismatch
     with pytest.raises(ValueError):
         assigned_objective(X, A, F, Assignment([0, 1, 2], 3))  # too many clusters
+    with pytest.raises(ValueError, match="q=1 but centroids have q=2"):
+        rkm_objective(X, A, CentroidSet([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="references 3 clusters but only 2"):
+        assigned_objective(X, A, F, Assignment([0, 2], 3))

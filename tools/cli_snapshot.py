@@ -115,6 +115,12 @@ COMMANDS = [
     # with their counts, one that misses an atom fits its n rows unweighted
     ("consistency-atoms3-k3", "bench-consistency --atoms atoms3.csv --clusters 3"
                               " --n-grid 3,4"),
+    # one atom: no rep has a variance ratio, so the summary's vr is null
+    ("consistency-one-atom", "bench-consistency --atoms one.csv --clusters 1 --n-grid 5"
+                             " --reps 2 --restarts 2"),
+    # a raw bound past the largest double: null in the JSON
+    ("rate-bound-raw-inf", "rate-bound --n 100 --clusters 100 --p 10 --radius 1 --epsilon 1.2"
+                           " --output rb.json"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
@@ -126,7 +132,7 @@ TIMING = re.compile(rb'("timing":\s*)\{[^{}]*\}')
 
 def write_fixtures(work: str) -> None:
     """Inputs no rkm command makes: label files of the wrong kinds, data
-    files that only the csv.reader walk reads or refuses, six atom sets
+    files that only the csv.reader walk reads or refuses, seven atom sets
     for bench-consistency, 40 draws of its demo atoms times 2^513 and
     times 1e-170, and 12 rows of three distinct points."""
     def put(name, lines):
@@ -141,6 +147,7 @@ def write_fixtures(work: str) -> None:
     put("badcell.csv", ["1,2", "3,x", "6,7"])
     put("atoms5.csv", ["x,y", "-2,0.5", "-1,-0.3", "0.2,0.1", "1.4,0.6", "2.5,-0.4"])
     put("atoms3.csv", ["x,y", "-2,0.5", "0.2,0.1", "2.5,-0.4"])
+    put("one.csv", ["x,y", "1,0.5"])
     put("atoms8.csv", [f"{i - 3.5},{(-1) ** i * 0.25 * (i % 3)}" for i in range(8)])
     demo = ((1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1))  # bench-consistency's own
     for name, scale in (("2p511", 2.0**511), ("1e160", 1e160), ("1e-170", 1e-170)):
