@@ -166,40 +166,53 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
     return within / total
 
 
-def kmeans_pp_init(
-    y: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray
-) -> np.ndarray:
-    """k-means++ seeding on rows y with positive integer counts, row i
-    standing for counts[i] copies of itself: k rows of y, each drawn with
-    probability proportional to squared distance from the centers already
-    chosen. The first center is copy rng.integers(N) of the N =
-    sum(counts), later ones are drawn in proportion to counts * d2."""
-    n = y.shape[0]
+def kmeans_pp_init(y: np.ndarray, k: int, streams, counts: np.ndarray) -> np.ndarray:
+    """k-means++ seeding of a stack of restarts: scores y (w, n, d), rows
+    with positive integer counts (n,), row i standing for counts[i] copies
+    of itself, and restart j drawing from streams[j] (``_seeds.Streams``).
+    Each restart gets k rows of its y (w, k, d), each drawn with probability
+    proportional to squared distance from the centers already chosen. The
+    first center is copy integers(N) of the N = sum(counts), later ones are
+    drawn in proportion to counts * d2 by random().
+
+    A lone restart's seeding takes its draws in turn. Here every restart
+    first takes its integers(N) and k - 1 random() draws, in restart order,
+    and the picks are stacked: (cumsum(mass) <= u * total).sum(-1) is
+    searchsorted(side="right") on the non-decreasing cumsum. Where a
+    restart's mass sums to 0 at step s, its remaining rows coincide with
+    chosen centers and every later pick is a uniform copy, so that restart
+    re-draws its sequence from its stream's start with integers(N) from
+    step s on."""
+    w, n = y.shape[:2]
     cum = np.cumsum(counts)
-
-    def any_row() -> int:
-        # a uniform draw over the copies the rows stand for
-        return int(np.searchsorted(cum, int(rng.integers(int(cum[-1]))), side="right"))
-
-    centers = np.empty((k, y.shape[1]))
-    centers[0] = y[any_row()]
-    if k == 1:
-        return centers
-    diff = y - centers[0]
-    d2 = _row_sums(diff * diff)
-    for j in range(1, k):
+    total_copies = int(cum[-1])
+    first = np.empty(w, dtype=np.int64)
+    u = np.empty((w, k - 1))
+    for j in range(w):
+        rng = streams[j]
+        first[j] = rng.integers(total_copies)
+        u[j] = rng.random(k - 1)
+    lanes = np.arange(w)
+    centers = np.empty((w, k, y.shape[2]))
+    centers[:, 0] = y[lanes, np.searchsorted(cum, first, side="right")]
+    # the step at which each restart's mass first sums to 0, 0 for none
+    exhausted = np.zeros(w, dtype=np.intp)
+    d2 = np.full((w, n), np.inf)
+    for s in range(1, k):
+        diff = y - centers[:, s - 1, None]
+        np.minimum(d2, _row_sums(diff * diff), out=d2)
         mass = counts * d2
-        total = float(mass.sum())
-        if total > 0.0:
-            idx = int(np.searchsorted(np.cumsum(mass), rng.random() * total, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            # remaining points coincide with chosen centers; any pick is as good
-            idx = any_row()
-        centers[j] = y[idx]
-        if j < k - 1:
-            diff = y - centers[j]
-            np.minimum(d2, _row_sums(diff * diff), out=d2)
+        total = mass.sum(axis=-1)
+        picks = (np.cumsum(mass, axis=-1) <= (u[:, s - 1] * total)[:, None]).sum(axis=-1)
+        centers[:, s] = y[lanes, np.minimum(picks, n - 1)]
+        exhausted[~(total > 0.0) & (exhausted == 0)] = s
+    for j in np.flatnonzero(exhausted):
+        s = int(exhausted[j])
+        rng = streams[j]
+        rng.integers(total_copies)
+        rng.random(s - 1)
+        copies = rng.integers(total_copies, size=k - s)
+        centers[j, s:] = y[j, np.searchsorted(cum, copies, side="right")]
     return centers
 
 
@@ -214,29 +227,31 @@ def cluster_means(y: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.nd
 
 
 def _offset(labels: np.ndarray, k: int) -> np.ndarray:
-    """Labels of a stack (w, n) shifted by k per slice and flattened, so one
-    bincount over the stack keeps the slices apart."""
-    return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
+    """Labels of a stack (w, n) shifted by k per slice, so that slice r's
+    cluster j is bin r * k + j of the whole stack: one bincount or gather
+    over the stack keeps the slices apart. A single slice is its own
+    offset."""
+    return labels + k * np.arange(labels.shape[0])[:, None]
 
 
-def _stacked_counts(labels: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
-    """The weight each cluster holds (w, k) in a stack of labels (w, n), for
-    the row weights (n,)."""
-    w = labels.shape[0]
-    stacked = np.broadcast_to(weights, labels.shape).ravel()
-    return np.bincount(_offset(labels, k), stacked, minlength=w * k).reshape(w, k)
+def _stacked_counts(bins: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
+    """The weight each cluster holds (w, k) in a stack of offset labels
+    (w, n), for the row weights (n,)."""
+    w = bins.shape[0]
+    stacked = np.broadcast_to(weights, bins.shape).ravel()
+    return np.bincount(bins.ravel(), stacked, minlength=w * k).reshape(w, k)
 
 
 def _stacked_means(
-    y: np.ndarray, labels: np.ndarray, sizes: np.ndarray, weights: np.ndarray
+    y: np.ndarray, bins: np.ndarray, sizes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted cluster means over a stack: y (w, n, d), labels (w, n), row
-    weights (n,) and the clusters' weight sums (w, k). One bincount per
-    column serves the stack, and each bin still sums its members in row
-    order, so every slice gets the bits a lone call would."""
+    """Weighted cluster means over a stack: y (w, n, d), offset labels
+    (w, n), row weights (n,) and the clusters' weight sums (w, k). One
+    bincount per column serves the stack, and each bin still sums its
+    members in row order, so every slice gets the bits a lone call would."""
     w, k = sizes.shape
     d = y.shape[-1]
-    flat = _offset(labels, k)
+    flat = bins.ravel()
     sums = np.empty((w * k, d))
     for c in range(d):
         sums[:, c] = np.bincount(flat, weights=(y[..., c] * weights).ravel(), minlength=w * k)
@@ -270,17 +285,17 @@ def repair_empty_clusters(y: np.ndarray, centers: np.ndarray, labels: np.ndarray
         centers[j] = y[i]
 
 
-def _stacked_polar(x: np.ndarray, labels: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _stacked_polar(x: np.ndarray, bins: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Loss-minimizing loadings for fixed labels and centroids: the polar
-    factor PQ' of the SVD QSP' of M = (UF)'X, over a stack: labels (w, n),
-    centroids f (w, k, q) give the (w, p, q) loadings. (UF)' is gathered as
-    q rows of n, one coordinate at a time; M = (X'(UF))' sums as the
-    row-major (UF)'X did, where (UF)' @ X would not."""
+    factor PQ' of the SVD QSP' of M = (UF)'X, over a stack: offset labels
+    (w, n), centroids f (w, k, q) give the (w, p, q) loadings. (UF)' is
+    gathered as q rows of n, one coordinate at a time; M = (X'(UF))' sums as
+    the row-major (UF)'X did, where (UF)' @ X would not."""
     w, k, q = f.shape
-    rows, flat = f.reshape(w * k, q), _offset(labels, k).reshape(labels.shape)
-    gt = np.empty((w, q, labels.shape[1]))
+    rows = f.reshape(w * k, q)
+    gt = np.empty((w, q, bins.shape[1]))
     for c in range(q):
-        np.take(rows[:, c], flat, out=gt[:, c])
+        np.take(rows[:, c], bins, out=gt[:, c])
     m = np.swapaxes(x.T @ np.swapaxes(gt, -1, -2), -1, -2)
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
@@ -304,31 +319,38 @@ def principal_axes(x: np.ndarray, q: int, counts: np.ndarray | None = None) -> n
 def _means_step(y: np.ndarray, f: np.ndarray, weights: np.ndarray) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
     with the row weights (n,) against centers f (w, k, d), which a repair
-    mutates. Returns (cluster means, labels, the clusters' weight sums)."""
+    mutates. Returns (cluster means, labels, their offsets, the clusters'
+    weight sums); the offsets are formed once, after any repair."""
     k = f.shape[1]
     labels = _nearest(y, f)[0]
-    sizes = _stacked_counts(labels, k, weights)
-    for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
+    bins = _offset(labels, k)
+    sizes = _stacked_counts(bins, k, weights)
+    repaired = np.flatnonzero(np.any(sizes == 0, axis=1))
+    for r in repaired:
         repair_empty_clusters(y[r], f[r], labels[r])
         sizes[r] = np.bincount(labels[r], weights, minlength=k)
-    return _stacked_means(y, labels, sizes, weights), labels, sizes
+    if repaired.size:
+        bins = _offset(labels, k)
+    return _stacked_means(y, bins, sizes, weights), labels, bins, sizes
 
 
 def sweep_restarts(
-    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int,
+    x: np.ndarray, a: np.ndarray | None, k: int, streams, max_iterations: int,
     counts: np.ndarray | None = None,
 ) -> list:
-    """Run a stack of restarts in lockstep, one per generator in rngs, each
-    until its loss falls by at most REL_TOLERANCE (relative) or
-    max_iterations sweeps have run, then finalize them together.
+    """Run a stack of restarts in lockstep, one per stream of the batch
+    ``streams`` (``_seeds.Streams``), each until its loss falls by at most
+    REL_TOLERANCE (relative) or max_iterations sweeps have run, then
+    finalize them together.
 
-    x is the data. Restart j starts from kmeans_pp_init(scores, k, rngs[j])
-    on its scores, seeded in restart order. A loading stack ``a`` (w, p, q)
-    is free: the scores are x @ a[j], an assign -> repair -> means step on
-    them gives the labels, then each sweep refits the loading by the polar
-    step before its own means step (reduced k-means). ``a = None`` holds the
-    loading at the identity, so every restart scores x itself and each sweep
-    is a Lloyd step (plain k-means). x and a are only read.
+    x is the data. Restart j starts from the k-means++ centers that one
+    kmeans_pp_init call over the stacked scores draws from streams[j]. A
+    loading stack ``a`` (w, p, q) is free: the scores are x @ a[j], an
+    assign -> repair -> means step on them gives the labels, then each sweep
+    refits the loading by the polar step before its own means step (reduced
+    k-means). ``a = None`` holds the loading at the identity, so every
+    restart scores x itself and each sweep is a Lloyd step (plain k-means).
+    x and a are only read.
 
     Positive integer ``counts`` (n,), default once each, make row i stand
     for counts[i] copies of itself, so the fit is that of the N =
@@ -348,7 +370,7 @@ def sweep_restarts(
     empty; at a fixed point it changes nothing. x must already be at
     in_range's scale; f and the trace stay at it.
     """
-    n, w = x.shape[0], len(rngs)
+    n, w = x.shape[0], len(streams)
     held = a is None
     counts = np.ones(n, dtype=np.int64) if counts is None else counts
     # the rows' weights as doubles and the number of rows they stand for
@@ -368,18 +390,18 @@ def sweep_restarts(
         a_end = np.empty_like(a)
         # the polar step's CX, formed once
         cx = weights[:, None] * x
-    f = np.stack([kmeans_pp_init(y[j], k, rng, counts) for j, rng in enumerate(rngs)])
+    f = kmeans_pp_init(y, k, streams, counts)
     if not held:
-        f, labels, _ = _means_step(y, f, weights)
+        f, labels, bins, _ = _means_step(y, f, weights)
     f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
     prev = np.full(w, np.inf)
     for sweep in range(1, max_iterations + 1):
         if not held:
-            a = _stacked_polar(cx, labels, f)
+            a = _stacked_polar(cx, bins, f)
             y = np.matmul(x, a, out=scores[:len(live)])
-        f, labels, sizes = _means_step(y, f, weights)
+        f, labels, bins, sizes = _means_step(y, f, weights)
         # the means-step identity; clamped, as the terms cancel at zero loss
         within = _row_sums(sizes * _row_sums(f * f))
         loss = np.maximum((sx - within) / total, 0.0)
@@ -400,9 +422,12 @@ def sweep_restarts(
         keep = ~stop
         if not keep.any():
             break
-        live, f, labels, prev = live[keep], f[keep], labels[keep], prev[keep]
+        live, f, prev = live[keep], f[keep], prev[keep]
         if held:
             y = y[:len(live)]
+        else:
+            # the kept slices move up the stack, so their offsets change
+            bins = _offset(labels[keep], k)
 
     if not held:
         y_end = np.matmul(x, a_end, out=scores)
@@ -413,7 +438,7 @@ def sweep_restarts(
     sy = np.sum(squares.reshape(w, -1), axis=-1)
     del squares  # freed before the distance block is taken
     nearest, low = _nearest(y_end, f_end)
-    sizes = _stacked_counts(nearest, f_end.shape[1], weights)
+    sizes = _stacked_counts(_offset(nearest, k), k, weights)
     d_sums = (low * weights).sum(axis=-1)
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
@@ -450,22 +475,22 @@ def _finalize_repairs(
 
 
 def best_restart(
-    x: np.ndarray, a: np.ndarray | None, k: int, rngs: list, max_iterations: int,
+    x: np.ndarray, a: np.ndarray | None, k: int, streams, max_iterations: int,
     counts: np.ndarray | None = None,
 ) -> tuple:
-    """The best of the restarts sweep_restarts runs on x, one per generator
-    in rngs, with restart r starting from the loading a[r] (a = None holds
+    """The best of the restarts sweep_restarts runs on x, one per stream of
+    the batch ``streams``, with restart r starting from the loading a[r] (a = None holds
     it at the identity), its rows counted by the integer counts (default
     once each). The restarts run in batch_width's batches on in_range's
     scale of x. The winner has the lowest final loss at that scale, ties to
     the smallest index. Returns (r, a, f, labels, trace) of the winner,
     whose f and trace alone are scaled back by scaled_fit."""
     x, e = in_range(x)
-    width = batch_width(x.shape[0], k, len(rngs))
+    width = batch_width(x.shape[0], k, len(streams))
     best = None
-    for first in range(0, len(rngs), width):
+    for first in range(0, len(streams), width):
         part = slice(first, first + width)
-        results = sweep_restarts(x, None if a is None else a[part], k, rngs[part],
+        results = sweep_restarts(x, None if a is None else a[part], k, streams[part],
                                  max_iterations, counts)
         for r, result in enumerate(results, start=first):
             # a restart's loss is the last entry of its trace
@@ -477,10 +502,10 @@ def best_restart(
 
 
 def lloyd_single(
-    y: np.ndarray, k: int, rng: np.random.Generator, max_iterations: int
+    y: np.ndarray, k: int, streams, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One Lloyd run on raw coordinates y from a k-means++ start drawn from
-    rng: a width-1 best_restart with the loading held. Returns (centers,
-    labels, mean loss, iterations)."""
-    _, _, centers, labels, trace = best_restart(y, None, k, [rng], max_iterations)
+    the one stream of the batch ``streams``: a width-1 best_restart with the
+    loading held. Returns (centers, labels, mean loss, iterations)."""
+    _, _, centers, labels, trace = best_restart(y, None, k, streams, max_iterations)
     return centers, labels, trace[-1], len(trace) - 1

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels
+from ._seeds import spawn_streams
 from .errors import DegenerateDataError
 from .solver import SolverConfig, _solve
 from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
@@ -31,7 +32,7 @@ def kmeans_fit(
     """
     config = SolverConfig(k=int(k), q=X.p, restarts=restarts, seed=seed)
     config.validate_against(X)
-    return _solve(X, config)
+    return _solve(X, config, spawn_streams(config.seed, range(config.restarts)))
 
 
 # kmeans_1d_exact shifts its values by their mean where |mean| exceeds this

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import spawn_rng
+from ._seeds import check_seed, spawn_rng
 from .errors import DegenerateDataError
 from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix
 
@@ -61,6 +61,7 @@ class DatasetSpec:
             raise ValueError("p2 and p3 must be >= 0")
         if self.n < self.K:
             raise ValueError(f"need n >= K, got n={self.n}, K={self.K}")
+        check_seed(self.seed)
 
     @property
     def p(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from ._seeds import spawn_rng, spawn_seed
+from ._seeds import check_seed, spawn_batches, spawn_seed
 from .baselines import kmeans_1d_dp, kmeans_1d_exact, weighted_prefix_sums
 from .datagen import TABLE1_K, TABLE1_N, DatasetSpec, generate_dataset
 from .errors import DegenerateDataError
@@ -303,7 +303,8 @@ def consistency_experiment(
     The optimum comes from the angle-grid oracle, so p=2 and q=1 are checked
     with the other arguments, before any solve. Rep r at size n fits the
     sample drawn by spawn_rng(seed, n, r) with ``restarts`` restarts from the
-    seed spawn_seed(seed, n, r, 1).
+    seed spawn_seed(seed, n, r, 1); each n derives its reps' streams and
+    seeds in one key pass (``_seeds.spawn_batches``).
 
     The sample's objective is exactly the count-weighted objective over its
     distinct atoms, so the fit is ``fit_rkm`` on the distinct atoms with
@@ -314,6 +315,7 @@ def consistency_experiment(
     each counted once, and its VR is the sample's ``vr_hat``.
     """
     config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
+    check_seed(seed)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     n_grid = tuple(int(n) for n in n_grid)
@@ -337,16 +339,18 @@ def consistency_experiment(
     records = {field: {n: [] for n in n_grid} for field, _ in _RECORDS}
     theta_star = (optimum.centroids, optimum.loading)
     for n in n_grid:
+        # spawn_seed(seed, n, r, 1) is word 0 of the stream (seed, n, r, 1)'s key
+        _, draws, fits = spawn_batches(seed, n, range(reps), 1)
+        fit_seeds = fits.keys[:, 0].tolist()
         for r in range(reps):
-            idx = spawn_rng(seed, n, r).choice(pop.m, size=n, p=pop.weights)
+            idx = draws[r].choice(pop.m, size=n, p=pop.weights)
             rows, counts = np.unique(idx, return_counts=True)
             if rows.size < k:
                 # too few distinct atoms to give every cluster a row of its
                 # own: fit the full draw, each row once
                 rows, counts = idx, np.ones(n, dtype=np.int64)
             x = pop.atoms[rows]
-            sol = fit_rkm(DataMatrix(x), replace(config, seed=spawn_seed(seed, n, r, 1)),
-                          counts=counts)
+            sol = fit_rkm(DataMatrix(x), replace(config, seed=fit_seeds[r]), counts=counts)
             try:
                 vr = _kernels.weighted_vr(x, counts, sol.loading.values, sol.centroids.values)
             except DegenerateDataError:
@@ -403,6 +407,7 @@ def agreement_experiment(
     its dataset from the seed spawn_seed(seed, si, r, 0) and profiles it with
     ``restarts`` restarts per fit from the seed spawn_seed(seed, si, r, 1).
     Every setting is checked before the first dataset is drawn."""
+    check_seed(seed)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if restarts < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._seeds import spawn_seed
+from ._seeds import check_seed, spawn_seed
 from .solver import SolverConfig, fit_rkm
 from .types import DataMatrix, RkmSolution
 
@@ -103,6 +103,7 @@ def select_dimension(
     k = int(k)
     if k < 2:
         raise ValueError("dimension selection needs k >= 2")
+    check_seed(seed)
     if q_max is None:
         q_max = min(k - 1, X.p)
     if not 1 <= q_max <= min(k - 1, X.p):

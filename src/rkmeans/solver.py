@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._seeds import spawn_rng
+from ._seeds import Streams, check_seed, spawn_batches
 from .types import (
     Assignment,
     CentroidSet,
@@ -52,6 +52,7 @@ class SolverConfig:
             raise ValueError("q must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        check_seed(self.seed)
 
     @property
     def max_iterations(self) -> int:
@@ -109,23 +110,25 @@ def fit_rkm(
         raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
     if np.any(counts < 1):
         raise ValueError("counts must be positive")
-    a0 = _starts(config, _kernels.principal_axes(X.values, config.q, counts))
-    return _solve(X, config, a0, counts)
+    # restart r seeds its centroids from the stream (seed, r) and draws its
+    # loading from (seed, r, 1): one key pass derives both batches
+    seeding, loading = spawn_batches(config.seed, range(config.restarts), 1)
+    a0 = _starts(loading, _kernels.principal_axes(X.values, config.q, counts))
+    return _solve(X, config, seeding, a0, counts)
 
 
 def _solve(
-    X: DataMatrix, config: SolverConfig, a0: np.ndarray | None = None,
+    X: DataMatrix, config: SolverConfig, streams: Streams, a0: np.ndarray | None = None,
     counts: np.ndarray | None = None,
 ) -> RkmSolution:
     """best_restart on X, its rows counted by the integer counts (default
-    once each), as a solution, from the stacked starting loadings a0, or
-    with the loading held at the identity if a0 is None. Both solvers seed
-    restart r's centroids from the stream (seed, r), so they match restart
-    for restart when q == p; a loading draw has its own stream."""
+    once each), as a solution, restart r seeding its centroids from
+    streams[r], from the stacked starting loadings a0, or with the loading
+    held at the identity if a0 is None. Both solvers seed restart r from the
+    stream (seed, r), so they match restart for restart when q == p; a
+    loading draw has its own stream."""
     r, a, f, labels, trace = _kernels.best_restart(
-        X.values, a0, config.k,
-        [spawn_rng(config.seed, r) for r in range(config.restarts)], config.max_iterations,
-        counts,
+        X.values, a0, config.k, streams, config.max_iterations, counts,
     )
     return RkmSolution(
         loading=LoadingMatrix(np.eye(X.p) if a is None else a),
@@ -136,12 +139,12 @@ def _solve(
     )
 
 
-def _starts(config: SolverConfig, pca_a: np.ndarray) -> np.ndarray:
-    """Stacked starting loadings of every restart: restart 0 from the
-    principal axes pca_a, later ones from the polar factor of their own
-    stream's Gaussian."""
-    g = [spawn_rng(config.seed, r, 1).standard_normal(pca_a.shape) if r else pca_a
-         for r in range(config.restarts)]
+def _starts(loading: Streams, pca_a: np.ndarray) -> np.ndarray:
+    """Stacked starting loadings of every restart, one per stream of the
+    batch ``loading``: restart 0 from the principal axes pca_a, later ones
+    from the polar factor of the Gaussian of their own stream."""
+    g = [loading[r].standard_normal(pca_a.shape) if r else pca_a
+         for r in range(len(loading))]
     u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
     a0 = u @ vh
     a0[0] = pca_a  # its slot in the stacked SVD only held a place

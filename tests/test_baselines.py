@@ -46,7 +46,7 @@ def test_kmeans_labels_are_the_nearest_center_argmin():
     # runs stop before convergence and finalizing has labels to change; each
     # restart is checked on its own, not only a fit's winner
     from rkmeans import _kernels
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     rng = np.random.default_rng(5)
     for case in range(200):
@@ -56,7 +56,7 @@ def test_kmeans_labels_are_the_nearest_center_argmin():
         k = int(rng.integers(1, n + 1))
         cap = int(rng.integers(1, 6))
         for r in range(2):
-            centers, labels, loss, _ = _kernels.lloyd_single(x, k, spawn_rng(case, r), cap)
+            centers, labels, loss, _ = _kernels.lloyd_single(x, k, spawn_streams(case, [r]), cap)
             d = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
             nearest = d.min(axis=1)
             near = d <= nearest[:, None] + 1e-9 * (1.0 + nearest[:, None])

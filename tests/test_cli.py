@@ -55,6 +55,12 @@ class TestFit:
         assert doc["solution"]["centroids"]["rows"] == 2
         assert doc["timing"]["seconds"] > 0.0
 
+    def test_negative_seed_is_named(self, blob_dir, capsys):
+        args = blob_args(blob_dir)
+        args[args.index("--seed") + 1] = "-1"
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_stdout_when_no_output(self, blob_dir, capsys):
         assert main(blob_args(blob_dir)) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -24,6 +24,8 @@ def test_spec_validation():
         DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=4)  # n < K
     spec = DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=400)
     assert spec.p == 15
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        DatasetSpec(K=8, q=2, p1=5, p2=5, p3=5, n=400, seed=-1)
 
 
 def test_generated_shapes_and_ranges():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rkmeans import CentroidSet, SolverConfig, _kernels, directed_hausdorff, solver
-from rkmeans._seeds import spawn_rng
+from rkmeans._seeds import spawn_rng, spawn_streams
 
 
 def _row_major_nearest(y, centers):
@@ -21,6 +21,38 @@ def _row_major_nearest(y, centers):
     np.maximum(d, 0.0, out=d)
     labels = d.argmin(axis=-1)
     return d, labels, np.take_along_axis(d, labels[..., None], axis=-1)[..., 0]
+
+
+def _lone_kmeans_pp(y, k, rng, counts):
+    # k-means++ on the rows y (n, d) of one restart, its draws taken in turn
+    # from rng: the first center a uniform copy of the N = sum(counts),
+    # later ones by searchsorted on the cumulative counts * d2, and a
+    # uniform copy again where that mass sums to 0
+    n = y.shape[0]
+    cum = np.cumsum(counts)
+
+    def any_row():
+        return int(np.searchsorted(cum, int(rng.integers(int(cum[-1]))), side="right"))
+
+    centers = np.empty((k, y.shape[1]))
+    centers[0] = y[any_row()]
+    if k == 1:
+        return centers
+    diff = y - centers[0]
+    d2 = _kernels._row_sums(diff * diff)
+    for j in range(1, k):
+        mass = counts * d2
+        total = float(mass.sum())
+        if total > 0.0:
+            idx = int(np.searchsorted(np.cumsum(mass), rng.random() * total, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = any_row()
+        centers[j] = y[idx]
+        if j < k - 1:
+            diff = y - centers[j]
+            np.minimum(d2, _kernels._row_sums(diff * diff), out=d2)
+    return centers
 
 
 def _distance_cases(seed, scale=1.0):
@@ -157,7 +189,8 @@ def test_stacked_polar_is_the_row_major_product_bitwise():
         g = np.stack([f[r][labels[r]] for r in range(w)])
         u, _, vh = np.linalg.svd(np.swapaxes(g, -1, -2) @ x, full_matrices=False)
         want = np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
-        assert _kernels._stacked_polar(x, labels, f).tobytes() == want.tobytes(), (n, p, q, k)
+        bins = _kernels._offset(labels, k)
+        assert _kernels._stacked_polar(x, bins, f).tobytes() == want.tobytes(), (n, p, q, k)
 
 
 def test_stacked_scores_are_the_per_restart_products_bitwise():
@@ -178,13 +211,15 @@ def test_stacked_scores_are_the_per_restart_products_bitwise():
 
 def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
     # the starts' stacked SVD gives each restart the loading of its own, and
-    # the engine seeds each restart's centers on its own x @ a
+    # the engine seeds each restart's centers on its own x @ a, as a lone
+    # k-means++ run from its own stream would
     seed_centers = _kernels.kmeans_pp_init
     seeded = []
 
-    def recording(y, k, rng, counts):
-        seeded.append(seed_centers(y, k, rng, counts))
-        return seeded[-1]
+    def recording(y, k, streams, counts):
+        centers = seed_centers(y, k, streams, counts)
+        seeded.extend(centers.copy())  # a repair may move the engine's copy
+        return centers
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     rng = np.random.default_rng(3)
@@ -195,9 +230,9 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
         config = SolverConfig(k=k, q=q, restarts=int(rng.integers(1, 11)), seed=case)
         pca_a = _kernels.principal_axes(x, q)
         restarts = range(config.restarts)
-        a0 = solver._starts(config, pca_a)
+        a0 = solver._starts(spawn_streams(case, restarts, 1), pca_a)
         seeded.clear()
-        _kernels.sweep_restarts(x, a0, k, [spawn_rng(case, r) for r in restarts], 1)
+        _kernels.sweep_restarts(x, a0, k, spawn_streams(case, restarts), 1)
         assert len(a0) == len(seeded) == config.restarts, f"case {case}"
         for r in restarts:
             if r == 0:
@@ -206,6 +241,55 @@ def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
                 u, _, vh = np.linalg.svd(spawn_rng(case, r, 1).standard_normal((p, q)),
                                          full_matrices=False)
                 a = u @ vh
-            f = seed_centers(x @ a, k, spawn_rng(case, r), np.ones(n, int))
+            f = _lone_kmeans_pp(x @ a, k, spawn_rng(case, r), np.ones(n, int))
             assert a0[r].tobytes() == a.tobytes(), f"case {case}, restart {r}"
             assert seeded[r].tobytes() == f.tobytes(), f"case {case}, restart {r}"
+
+
+def _seeding_stacks(seed):
+    """(y (w, n, d), counts or None, k) stacks for k-means++: random and
+    integer-grid scores, k = 1..8, w = 1..25, and slices with fewer distinct
+    rows than k (one distinct row among them) mixed into normal batches, so
+    that some restarts run out of mass while others do not."""
+    rng = np.random.default_rng(seed)
+    for case in range(160):
+        k, w = case % 8 + 1, int(rng.integers(1, 26))
+        n, d = int(rng.integers(k, 40)), int(rng.integers(1, 10))
+        y = rng.standard_normal((w, n, d)) if case % 2 else rng.integers(-2, 3, (w, n, d)) * 1.0
+        for r in np.flatnonzero(rng.random(w) < 0.3):
+            distinct = int(rng.integers(1, k + 1))
+            y[r] = y[r][rng.integers(0, distinct, n)]
+        counts = rng.integers(1, 6, n) if case % 3 else None
+        yield case, y, counts, k
+
+
+def test_stacked_kmeans_pp_is_the_lone_seeding_bitwise():
+    # one stacked call seeds every restart of a batch as a lone run from its
+    # own stream would, with and without counts, including restarts whose
+    # mass sums to 0 part way (they re-draw from their stream's start)
+    exhausted = 0
+    for case, y, counts, k in _seeding_stacks(6):
+        c = np.ones(y.shape[1], dtype=np.int64) if counts is None else counts
+        w = len(y)
+        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)), c)
+        assert got.shape == (w, k, y.shape[2])
+        for r in range(w):
+            want = _lone_kmeans_pp(y[r], k, spawn_rng(case, r), c)
+            assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"
+            exhausted += len(np.unique(y[r], axis=0)) < k
+    assert exhausted > 50, "too few restarts ran out of mass"
+
+
+def test_stacked_kmeans_pp_seeds_a_shared_stack():
+    # the held loading's zero-stride stack: every restart seeds on the same
+    # rows, each from its own stream
+    rng = np.random.default_rng(8)
+    for case in range(20):
+        n, d, k, w = 30, int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 26))
+        x = rng.integers(-1, 2, (n, d)) * 1.0
+        counts = rng.integers(1, 4, n)
+        got = _kernels.kmeans_pp_init(np.broadcast_to(x, (w, n, d)), k,
+                                      spawn_streams(case, range(w)), counts)
+        for r in range(w):
+            want = _lone_kmeans_pp(x, k, spawn_rng(case, r), counts)
+            assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"

@@ -581,6 +581,12 @@ class TestConsistencyExperiment:
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(10,), reps=1, restarts=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seed_checked_before_any_solve(self, monkeypatch, seed):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(10,), reps=1, seed=seed)
+
     def test_each_rep_refits_its_own_sample_and_seed(self):
         # rep (n, r) draws with spawn_rng(seed, n, r) and fits the draw's
         # distinct atoms, weighted by their counts, with spawn_seed(seed, n,
@@ -742,6 +748,11 @@ class TestAgreementExperiment:
         _forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             agreement_experiment(settings=[(2, 5, 5, 5)], reps=1, restarts=0)
+
+    def test_seed_checked_before_any_dataset(self, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            agreement_experiment(settings=[(2, 5, 5, 5)], reps=1, seed=-3)
 
     def test_settings_checked_before_any_dataset(self, monkeypatch):
         # the second setting has q > p1; nothing is drawn for the first one

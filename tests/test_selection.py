@@ -214,3 +214,10 @@ def test_select_dimension_defaults_to_50_restarts_and_seed_0(monkeypatch):
     X = DataMatrix(np.random.default_rng(2).standard_normal((30, 3)))
     select_dimension(X, 3)
     assert seen == [SolverConfig(k=3, q=q, restarts=50, seed=spawn_seed(0, q)) for q in (1, 2)]
+
+
+def test_select_dimension_refuses_a_negative_seed_before_any_fit(monkeypatch):
+    monkeypatch.setattr(selection, "fit_rkm", lambda X, cfg: pytest.fail("fit ran"))
+    X = DataMatrix(np.random.default_rng(2).standard_normal((30, 3)))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        select_dimension(X, 3, seed=-1)

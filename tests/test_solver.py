@@ -1,4 +1,6 @@
 """Alternating least squares solver: block updates, descent, determinism."""
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,27 @@ def _blobs(seed, n=60, p=4, k=3):
     return DataMatrix(centers[labels] + 0.3 * rng.standard_normal((n, p)))
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, "0", None])
+def test_config_refuses_a_seed_that_names_no_stream(seed):
+    # refused at construction, by name, rather than deep in SeedSequence;
+    # kmeans_fit and tandem_fit build their config from their seed
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(k=2, q=1, seed=seed)
+    for fit in (kmeans_fit, lambda X, k, seed: tandem_fit(X, k, 1, seed=seed)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            fit(_blobs(0), 2, seed=seed)
+
+
+def test_config_takes_bool_and_numpy_integer_seeds():
+    X = _blobs(6)
+    for seed, same in ((True, 1), (False, 0), (np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1)):
+        got = fit_rkm(X, SolverConfig(k=3, q=2, restarts=4, seed=seed))
+        want = fit_rkm(X, SolverConfig(k=3, q=2, restarts=4, seed=same))
+        assert got.sweep_losses == want.sweep_losses, seed
+        assert got.loading.values.tobytes() == want.loading.values.tobytes(), seed
+
+
 def test_fit_is_deterministic():
     X = _blobs(5)
     cfg = SolverConfig(k=3, q=2, restarts=8, seed=42)
@@ -166,7 +189,7 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
     # its nearest-centroid labels. With row counts the steps run on the
     # expanded rows, except that the repair moves a whole distinct row
     from rkmeans import _kernels
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     def assign(X, A, F):
         U = assign_clusters(X, A, F)
@@ -185,9 +208,10 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
 
             a0 = np.eye(X.p) if held else _kernels.principal_axes(X.values, 2, counts)
             _, _, _, trace = _kernels.sweep_restarts(
-                X.values, None if held else a0[None], 3, [spawn_rng(seed, 0)], 300, counts)[0]
+                X.values, None if held else a0[None], 3, spawn_streams(seed, [0]), 300, counts)[0]
             A = LoadingMatrix(a0)
-            F = CentroidSet(_kernels.kmeans_pp_init(X.values @ a0, 3, spawn_rng(seed, 0), c))
+            F = CentroidSet(_kernels.kmeans_pp_init((X.values @ a0)[None], 3,
+                                                    spawn_streams(seed, [0]), c)[0])
             if not held:
                 U = assign(X, A, F)
                 F = _centroid_step(full, expand(U), A)
@@ -217,7 +241,7 @@ def test_counts_default_to_once_each(dtype):
     # fit_rkm, and the held loading's path through best_restart, give the
     # same bits either way
     from rkmeans import _kernels
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     for case, x, q, k in _unit_counts_cases(3):
         ones = np.ones(x.shape[0], dtype=dtype)
@@ -228,8 +252,8 @@ def test_counts_default_to_once_each(dtype):
             a, b = getattr(plain, part), getattr(unit, part)
             a, b = (a.labels, b.labels) if part == "assignment" else (a.values, b.values)
             assert a.tobytes() == b.tobytes(), f"case {case}, {part}"
-        held = [_kernels.best_restart(x, None, k, [spawn_rng(case, r) for r in range(7)], 300,
-                                      *counts) for counts in ((), (ones,))]
+        held = [_kernels.best_restart(x, None, k, spawn_streams(case, range(7)), 300, *counts)
+                for counts in ((), (ones,))]
         assert held[0][0] == held[1][0] and held[0][4] == held[1][4], f"case {case}"
         for got, want in zip(held[0][2:4], held[1][2:4]):
             assert got.tobytes() == want.tobytes(), f"case {case}"
@@ -270,14 +294,15 @@ def test_counts_seed_and_start_as_the_expanded_rows():
     # land in (on an integer grid every cumulative sum is exact, so bit for
     # bit), and the weighted principal axes span the expanded rows' axes
     from rkmeans import _kernels
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     compared = 0
     for case, x, counts, q, k in _weighted_cases(4):
         full = np.repeat(x, counts, axis=0)
         if case % 2:
-            got = _kernels.kmeans_pp_init(x, k, spawn_rng(case, 0), counts)
-            want = _kernels.kmeans_pp_init(full, k, spawn_rng(case, 0), np.ones(len(full), int))
+            got = _kernels.kmeans_pp_init(x[None], k, spawn_streams(case, [0]), counts)
+            want = _kernels.kmeans_pp_init(full[None], k, spawn_streams(case, [0]),
+                                           np.ones(len(full), int))
             assert got.tobytes() == want.tobytes(), f"case {case}"
         spectrum = np.linalg.svd(full - full.mean(axis=0), compute_uv=False)
         if q < x.shape[1] and (q >= len(spectrum) or spectrum[q - 1] - spectrum[q] < 1e-6):
@@ -315,7 +340,7 @@ def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
     # trace must not rise by more than the rounding of the loss's terms,
     # which is relative to the data's mean square, not to a zero loss
     from rkmeans import _kernels, solver
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     repair = _kernels.repair_empty_clusters
     moved = []
@@ -327,12 +352,12 @@ def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
 
     monkeypatch.setattr(_kernels, "repair_empty_clusters", recording)
     for case, x, counts, q, k in _weighted_cases(3 + held, low=2):
-        rngs = [spawn_rng(case, r) for r in range(4)]
+        streams = spawn_streams(case, range(4))
         a0 = None
         if not held:
-            a0 = solver._starts(SolverConfig(k=k, q=q, restarts=4, seed=case),
+            a0 = solver._starts(spawn_streams(case, range(4), 1),
                                 _kernels.principal_axes(x, q, counts))
-        for _, _, labels, trace in _kernels.sweep_restarts(x, a0, k, rngs, 300, counts):
+        for _, _, labels, trace in _kernels.sweep_restarts(x, a0, k, streams, 300, counts):
             assert np.all(np.bincount(labels, minlength=k) > 0), f"case {case}"
             t = np.array(trace)
             scale = np.sum(counts * np.sum(x * x, axis=1)) / counts.sum()
@@ -469,18 +494,18 @@ def _batch_loadings(held, case, x, k, q, R):
     """The stacked starting loadings of R restarts as fit_rkm builds them,
     or None to hold the loading."""
     from rkmeans import _kernels, solver
+    from rkmeans._seeds import spawn_streams
 
     if held:
         return None
-    config = SolverConfig(k=k, q=q, restarts=R, seed=case)
-    return solver._starts(config, _kernels.principal_axes(x, q))
+    return solver._starts(spawn_streams(case, range(R), 1), _kernels.principal_axes(x, q))
 
 
 def _seeding_streams(case, R):
-    """Restart r's k-means++ stream, as both solvers draw it."""
-    from rkmeans._seeds import spawn_rng
+    """Restart r's k-means++ stream (case, r), as both solvers draw it."""
+    from rkmeans._seeds import spawn_streams
 
-    return [spawn_rng(case, r) for r in range(R)]
+    return spawn_streams(case, range(R))
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["rkm", "lloyd"])
@@ -488,7 +513,7 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
     # every restart's (A, F, labels, trace) must not depend on how many
     # restarts share its batch: widths 1, 2 and all of them
     from rkmeans import _kernels
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     repair = _kernels.repair_empty_clusters
     repairs = []
@@ -498,17 +523,17 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
         a0 = _batch_loadings(held, case, x, k, q, R)
         runs = {}
         for width in (1, 2, R):
-            results, rngs = [], _seeding_streams(case, R)
+            results, streams = [], _seeding_streams(case, R)
             for first in range(0, R, width):
                 part = slice(first, first + width)
                 results += _kernels.sweep_restarts(
-                    x, None if held else a0[part], k, rngs[part], cap)
+                    x, None if held else a0[part], k, streams[part], cap)
             runs[width] = [_run_bits(result) for result in results]
         assert runs[1] == runs[2] == runs[R], f"case {case}"
         if held:
             for r, (_, _, _, trace) in enumerate(results):
                 centers, labels, loss, iterations = _kernels.lloyd_single(
-                    x, k, spawn_rng(case, r), cap)
+                    x, k, spawn_streams(case, [r]), cap)
                 assert runs[1][r][:3] == (None, centers.tobytes(), labels.tobytes())
                 assert (repr(loss), iterations) == (repr(trace[-1]), len(trace) - 1)
     assert repairs, "no input exercised the empty-cluster repair"
@@ -527,8 +552,9 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(held, monkeypatch):
         monkeypatch.setattr(_kernels, "MAX_ITERATIONS", cap)
         a0 = _batch_loadings(held, case, x, k, q, R)
         # (a, f, labels, trace) of each lone run; a is None for Lloyd's
-        lone = [_kernels.sweep_restarts(x, None if held else a0[r:r + 1], k, [rng], cap)[0]
-                for r, rng in enumerate(_seeding_streams(case, R))]
+        streams = _seeding_streams(case, R)
+        lone = [_kernels.sweep_restarts(x, None if held else a0[r:r + 1], k, streams[r:r + 1],
+                                        cap)[0] for r in range(R)]
         losses = [trace[-1] for _, _, _, trace in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
@@ -564,10 +590,10 @@ def test_sweep_restarts_only_reads_its_data_and_loadings(held):
 
 
 def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
-    # fit_rkm and kmeans_fit seed restart r's k-means++ from a fresh
-    # spawn_rng(seed, r), once per restart and in restart order, across
-    # batches too: the two solvers stay restart-for-restart comparable, and
-    # a tracer can read each seeding as a restart boundary
+    # fit_rkm and kmeans_fit seed restart r's k-means++ from the start of
+    # spawn_rng(seed, r)'s stream, in restart order, across batches too, with
+    # one seeding call per batch: the two solvers stay restart-for-restart
+    # comparable, and a tracer can read each seeding as a batch boundary
     from rkmeans import _kernels
     from rkmeans._seeds import spawn_rng
 
@@ -576,24 +602,27 @@ def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
         return state["key"].tolist(), state["counter"].tolist()
 
     seed_centers = _kernels.kmeans_pp_init
-    seen = []
+    seen, calls = [], []
 
-    def recording(y, k, rng, counts):
-        seen.append(stream(rng))
-        return seed_centers(y, k, rng, counts)
+    def recording(y, k, streams, counts):
+        calls.append(len(streams))
+        seen.extend(stream(streams[j]) for j in range(len(streams)))
+        return seed_centers(y, k, streams, counts)
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     n, k, R, seed = 30, 3, 7, 11
     X = DataMatrix(np.random.default_rng(4).standard_normal((n, 3)))
     want = [stream(spawn_rng(seed, r)) for r in range(R)]
-    for width in (1, 3, R):
+    for width, batches in ((1, [1] * 7), (3, [3, 3, 1]), (R, [R])):
         monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * n * k)
-        seen.clear()
-        fit_rkm(X, SolverConfig(k=k, q=2, restarts=R, seed=seed))
-        assert seen == want, f"fit_rkm, width {width}"
-        seen.clear()
-        kmeans_fit(X, k, restarts=R, seed=seed)
-        assert seen == want, f"kmeans_fit, width {width}"
+        for name, fit in (("fit_rkm", lambda: fit_rkm(X, SolverConfig(k=k, q=2, restarts=R,
+                                                                        seed=seed))),
+                          ("kmeans_fit", lambda: kmeans_fit(X, k, restarts=R, seed=seed))):
+            seen.clear()
+            calls.clear()
+            fit()
+            assert seen == want, f"{name}, width {width}"
+            assert calls == batches, f"{name}, width {width}"
 
 
 def test_batch_width_splits_restarts_evenly_under_the_cap(monkeypatch):
@@ -707,14 +736,13 @@ def test_a_losing_sweep_past_the_largest_double_does_not_refuse_the_fit():
 
 def test_an_earlier_sweep_past_the_largest_double_reads_inf():
     from rkmeans import _kernels, solver
-    from rkmeans._seeds import spawn_rng
+    from rkmeans._seeds import spawn_streams
 
     # restart 3 of the fit above, alone: its first two sweep losses are
     # past the largest double once scaled back, its final loss is not
     x = _demo_draws() * 2.0**513
-    config = SolverConfig(k=2, q=1, restarts=10)
-    a0 = solver._starts(config, _kernels.principal_axes(x, 1))
-    trace = _kernels.best_restart(x, a0[3:4], 2, [spawn_rng(0, 3)], 300)[4]
+    a0 = solver._starts(spawn_streams(0, range(10), 1), _kernels.principal_axes(x, 1))
+    trace = _kernels.best_restart(x, a0[3:4], 2, spawn_streams(0, [3]), 300)[4]
     assert trace[:2] == [np.inf, np.inf]
     assert np.isfinite(trace[-1]) and trace[-1] > 7e306
 

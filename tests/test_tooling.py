@@ -13,6 +13,7 @@ import numpy as np
 
 import rkmeans
 from rkmeans import DataMatrix, SolverConfig, _kernels, cli
+from rkmeans._seeds import spawn_streams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,14 +44,15 @@ def test_every_wrapped_name_resolves():
 def test_lloyd_single_keeps_the_traced_signature():
     # the tracer reads the sweep count from result[3] and the cap from args[3]
     y = np.arange(12.0).reshape(6, 2)
-    result = _kernels.lloyd_single(y, 2, np.random.default_rng(0), 4)
+    result = _kernels.lloyd_single(y, 2, spawn_streams(0, [0]), 4)
     assert len(result) == 4
     assert isinstance(result[3], int) and 1 <= result[3] <= 4
 
 
 def test_traced_fits_keep_the_hooks_firing():
     # the tracer takes each kmeans_pp_init call inside fit_rkm as a restart
-    # boundary, reads lloyd_single's sweep count, and computes the distance
+    # boundary (one call seeds a batch of restarts, and each fit here runs
+    # one batch), reads lloyd_single's sweep count, and computes the distance
     # flops from sq_distances' 2-D argument shapes
     tracer = _load_tracer().Tracer()
     X = DataMatrix(np.random.default_rng(3).standard_normal((60, 4)))
@@ -61,7 +63,7 @@ def test_traced_fits_keep_the_hooks_firing():
         sol = rkmeans.fit_rkm(X, SolverConfig(k=3, q=2, restarts=7, seed=1))
         rkmeans.kmeans_fit(X, 3, restarts=4, seed=2)
         rkmeans._kernels.sq_distances(X.values @ sol.loading.values, sol.centroids.values)
-        rkmeans._kernels.lloyd_single(X.values, 3, np.random.default_rng(5),
+        rkmeans._kernels.lloyd_single(X.values, 3, spawn_streams(5, [0]),
                                       _kernels.MAX_ITERATIONS)
     finally:
         tracer.op = None
@@ -69,7 +71,8 @@ def test_traced_fits_keep_the_hooks_firing():
     assert tracer.calls["solver.fit_rkm"] == 1
     assert tracer.counters["solver.restarts"] == 7
     assert tracer._fit_cap == _kernels.MAX_ITERATIONS
-    assert tracer.calls["kernels.kmeans_pp_init"] == 7 + 4 + 1
+    assert _kernels.batch_width(60, 3, 7) == 7 and _kernels.batch_width(60, 3, 4) == 4
+    assert tracer.calls["kernels.kmeans_pp_init"] == 1 + 1 + 1
     assert tracer.calls["kernels.lloyd_single"] == 1
     assert tracer.counters["kernels.lloyd_single.sweeps"] >= 1
     assert tracer.counters["kernels.sq_distances.gflop"] > 0
