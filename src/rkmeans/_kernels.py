@@ -105,14 +105,36 @@ def _row_sums(v: np.ndarray) -> np.ndarray:
     return total
 
 
+def _square_sums(v: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """_row_sums of the squares of v - c (of v when c is None), c
+    broadcasting against v, bit for bit. Below 8 columns the left fold runs
+    column by column, so no difference or square of v's shape is formed; a
+    square is never -0.0, so the fold's leading 0.0 can go."""
+    if v.shape[-1] >= 8:
+        diff = v if c is None else v - c
+        return _row_sums(diff * diff)
+    total = None
+    for col in range(v.shape[-1]):
+        term = v[..., col] if c is None else v[..., col] - c[..., col]
+        term = term * term
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
+
+
 def _distance_block(y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances (|y|^2 + |c|^2) - 2 y'c clamped at 0, center-major:
     y (..., n, d) against centers (..., k, d) gives (k, ..., n). Restarts
-    that share one array (a zero-stride stack) share its row sums."""
+    that share one array (a zero-stride stack) share its row sums. At d = 1
+    each y'c is one product, which np.multiply forms with the bits matmul
+    gives it once the |y|^2 + |c|^2 add has turned a -0.0 into 0.0."""
     rows = y[:1] if y.ndim > 2 and y.strides[0] == 0 else y
-    y_sq = _row_sums(rows * rows)  # before d, so the squares are freed first
+    y_sq = _square_sums(rows)
     d = np.empty((centers.shape[-2], *y.shape[:-1]))
-    np.matmul(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
+    product = np.multiply if y.shape[-1] == 1 else np.matmul
+    product(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
     d *= -2.0
     c_sq = _row_sums(centers * centers)
     for j in range(len(d)):
@@ -168,51 +190,55 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
 
 def kmeans_pp_init(y: np.ndarray, k: int, streams, counts: np.ndarray) -> np.ndarray:
     """k-means++ seeding of a stack of restarts: scores y (w, n, d), rows
-    with positive integer counts (n,), row i standing for counts[i] copies
-    of itself, and restart j drawing from streams[j] (``_seeds.Streams``).
-    Each restart gets k rows of its y (w, k, d), each drawn with probability
-    proportional to squared distance from the centers already chosen. The
-    first center is copy integers(N) of the N = sum(counts), later ones are
-    drawn in proportion to counts * d2 by random().
+    with non-negative integer counts, (n,) shared by every restart or (w, n)
+    one row per restart, row i standing for counts[i] copies of itself, and
+    restart j drawing from streams[j] (``_seeds.Streams``). Each restart
+    gets k rows of its y (w, k, d), each drawn with probability proportional
+    to squared distance from the centers already chosen. The first center is
+    copy integers(N) of the N = sum(counts), later ones are drawn in
+    proportion to counts * d2 by random(); a zero-count row has no copies
+    and no mass, so it is never drawn.
 
     A lone restart's seeding takes its draws in turn. Here every restart
     first takes its integers(N) and k - 1 random() draws, in restart order,
     and the picks are stacked: (cumsum(mass) <= u * total).sum(-1) is
-    searchsorted(side="right") on the non-decreasing cumsum. Where a
-    restart's mass sums to 0 at step s, its remaining rows coincide with
-    chosen centers and every later pick is a uniform copy, so that restart
-    re-draws its sequence from its stream's start with integers(N) from
-    step s on."""
+    searchsorted(side="right") on the non-decreasing cumsum, and a pick past
+    the end, which rounding can give, falls back to the last counted row.
+    Where a restart's mass sums to 0 at step s, its remaining rows coincide
+    with chosen centers and every later pick is a uniform copy, so that
+    restart re-draws its sequence from its stream's start with integers(N)
+    from step s on."""
     w, n = y.shape[:2]
-    cum = np.cumsum(counts)
-    total_copies = int(cum[-1])
+    cum = np.cumsum(np.broadcast_to(counts, (w, n)), axis=-1)
+    copies = cum[:, -1].tolist()
     first = np.empty(w, dtype=np.int64)
     u = np.empty((w, k - 1))
     for j in range(w):
         rng = streams[j]
-        first[j] = rng.integers(total_copies)
+        first[j] = rng.integers(copies[j])
         u[j] = rng.random(k - 1)
+    # the last row each restart counts: the first to reach its N
+    last = np.argmax(cum == cum[:, -1:], axis=-1)
     lanes = np.arange(w)
     centers = np.empty((w, k, y.shape[2]))
-    centers[:, 0] = y[lanes, np.searchsorted(cum, first, side="right")]
+    centers[:, 0] = y[lanes, (cum <= first[:, None]).sum(axis=-1)]
     # the step at which each restart's mass first sums to 0, 0 for none
     exhausted = np.zeros(w, dtype=np.intp)
     d2 = np.full((w, n), np.inf)
     for s in range(1, k):
-        diff = y - centers[:, s - 1, None]
-        np.minimum(d2, _row_sums(diff * diff), out=d2)
+        np.minimum(d2, _square_sums(y, centers[:, s - 1, None]), out=d2)
         mass = counts * d2
         total = mass.sum(axis=-1)
         picks = (np.cumsum(mass, axis=-1) <= (u[:, s - 1] * total)[:, None]).sum(axis=-1)
-        centers[:, s] = y[lanes, np.minimum(picks, n - 1)]
+        centers[:, s] = y[lanes, np.minimum(picks, last)]
         exhausted[~(total > 0.0) & (exhausted == 0)] = s
     for j in np.flatnonzero(exhausted):
         s = int(exhausted[j])
         rng = streams[j]
-        rng.integers(total_copies)
+        rng.integers(copies[j])
         rng.random(s - 1)
-        copies = rng.integers(total_copies, size=k - s)
-        centers[j, s:] = y[j, np.searchsorted(cum, copies, side="right")]
+        drawn = rng.integers(copies[j], size=k - s)
+        centers[j, s:] = y[j, np.searchsorted(cum[j], drawn, side="right")]
     return centers
 
 
@@ -236,19 +262,19 @@ def _offset(labels: np.ndarray, k: int) -> np.ndarray:
 
 def _stacked_counts(bins: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
     """The weight each cluster holds (w, k) in a stack of offset labels
-    (w, n), for the row weights (n,)."""
+    (w, n), for the contiguous row weights (w, n) of the stack."""
     w = bins.shape[0]
-    stacked = np.broadcast_to(weights, bins.shape).ravel()
-    return np.bincount(bins.ravel(), stacked, minlength=w * k).reshape(w, k)
+    return np.bincount(bins.ravel(), weights.ravel(), minlength=w * k).reshape(w, k)
 
 
 def _stacked_means(
     y: np.ndarray, bins: np.ndarray, sizes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Weighted cluster means over a stack: y (w, n, d), offset labels
-    (w, n), row weights (n,) and the clusters' weight sums (w, k). One
-    bincount per column serves the stack, and each bin still sums its
-    members in row order, so every slice gets the bits a lone call would."""
+    (w, n), row weights (w, n) or (n,) and the clusters' weight sums
+    (w, k). One bincount per column serves the stack, and each bin still
+    sums its members in row order, so every slice gets the bits a lone call
+    would."""
     w, k = sizes.shape
     d = y.shape[-1]
     flat = bins.ravel()
@@ -275,8 +301,7 @@ def repair_empty_clusters(y: np.ndarray, centers: np.ndarray, labels: np.ndarray
         if empty.size == 0:
             return
         j = int(empty[0])
-        diff = y - centers[labels]
-        d_own = _row_sums(diff * diff)
+        d_own = _square_sums(y, centers[labels])
         d_own[sizes[labels] < 2] = -1.0
         i = int(d_own.argmax())
         sizes[labels[i]] -= 1
@@ -287,8 +312,9 @@ def repair_empty_clusters(y: np.ndarray, centers: np.ndarray, labels: np.ndarray
 
 def _stacked_polar(x: np.ndarray, bins: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Loss-minimizing loadings for fixed labels and centroids: the polar
-    factor PQ' of the SVD QSP' of M = (UF)'X, over a stack: offset labels
-    (w, n), centroids f (w, k, q) give the (w, p, q) loadings. (UF)' is
+    factor PQ' of the SVD QSP' of M = (UF)'X, over a stack: x (n, p) shared
+    or (w, n, p) per restart, offset labels (w, n) and centroids f (w, k, q)
+    give the (w, p, q) loadings. (UF)' is
     gathered as q rows of n, one coordinate at a time; M = (X'(UF))' sums as
     the row-major (UF)'X did, where (UF)' @ X would not."""
     w, k, q = f.shape
@@ -296,7 +322,7 @@ def _stacked_polar(x: np.ndarray, bins: np.ndarray, f: np.ndarray) -> np.ndarray
     gt = np.empty((w, q, bins.shape[1]))
     for c in range(q):
         np.take(rows[:, c], bins, out=gt[:, c])
-    m = np.swapaxes(x.T @ np.swapaxes(gt, -1, -2), -1, -2)
+    m = np.swapaxes(np.swapaxes(x, -1, -2) @ np.swapaxes(gt, -1, -2), -1, -2)
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
 
@@ -316,19 +342,32 @@ def principal_axes(x: np.ndarray, q: int, counts: np.ndarray | None = None) -> n
     return vh[:q].T.copy()
 
 
+def _repair_counted(
+    y: np.ndarray, centers: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> None:
+    """repair_empty_clusters on the rows of positive weight alone: a cluster
+    is empty when its weight is 0, a donor needs two rows of positive
+    weight, and a zero-weight row is never moved. Mutates centers and
+    labels."""
+    rows = np.flatnonzero(weights)
+    counted = labels[rows]
+    repair_empty_clusters(y[rows], centers, counted)
+    labels[rows] = counted
+
+
 def _means_step(y: np.ndarray, f: np.ndarray, weights: np.ndarray) -> tuple:
     """Assign -> repair -> means for a stack of restarts: scores y (w, n, d)
-    with the row weights (n,) against centers f (w, k, d), which a repair
-    mutates. Returns (cluster means, labels, their offsets, the clusters'
-    weight sums); the offsets are formed once, after any repair."""
+    with the contiguous row weights (w, n) against centers f (w, k, d), which
+    a repair mutates. Returns (cluster means, labels, their offsets, the
+    clusters' weight sums); the offsets are formed once, after any repair."""
     k = f.shape[1]
     labels = _nearest(y, f)[0]
     bins = _offset(labels, k)
     sizes = _stacked_counts(bins, k, weights)
     repaired = np.flatnonzero(np.any(sizes == 0, axis=1))
     for r in repaired:
-        repair_empty_clusters(y[r], f[r], labels[r])
-        sizes[r] = np.bincount(labels[r], weights, minlength=k)
+        _repair_counted(y[r], f[r], labels[r], weights[r])
+        sizes[r] = np.bincount(labels[r], weights[r], minlength=k)
     if repaired.size:
         bins = _offset(labels, k)
     return _stacked_means(y, bins, sizes, weights), labels, bins, sizes
@@ -352,14 +391,18 @@ def sweep_restarts(
     restart scores x itself and each sweep is a Lloyd step (plain k-means).
     x and a are only read.
 
-    Positive integer ``counts`` (n,), default once each, make row i stand
-    for counts[i] copies of itself, so the fit is that of the N =
-    sum(counts) expanded rows: the seeding, the means, the polar step on
-    (UF)'CX and every loss are count-weighted, while a repair still moves
-    one whole row.
+    Integer ``counts`` make row i stand for counts[i] copies of itself, so
+    the fit is that of the N = sum(counts) expanded rows: the seeding, the
+    means, the polar step on (UF)'CX and every loss are count-weighted,
+    while a repair still moves one whole row. They are (n,), shared by every
+    restart and by default once each, or (w, n), one row per restart. A
+    count may be 0 if every restart counts at least k rows: a zero-count
+    row weighs 0 in every sum, is never a k-means++ center, is never moved
+    by a repair and never keeps a cluster non-empty.
 
-    Restarts that stop leave the stack, so each one sees exactly the
-    arithmetic of a run on its own: the result does not depend on w.
+    Restarts that stop leave the stack, with their weights, |x|^2, N and
+    CX, so each one sees exactly the arithmetic of a run on its own: the
+    result does not depend on w or on the other restarts' counts.
     Returns one (a, f, labels, trace) per restart. The trace holds each
     sweep's loss, then the final one: the loss of the finalized labels. A
     sweep ends on a means step, so its loss is (|x|^2 - sum_j n_j |f_j|^2) / N
@@ -373,11 +416,15 @@ def sweep_restarts(
     n, w = x.shape[0], len(streams)
     held = a is None
     counts = np.ones(n, dtype=np.int64) if counts is None else counts
-    # the rows' weights as doubles and the number of rows they stand for
-    weights, total = counts.astype(np.float64), int(counts.sum())
-    squares = x * x
-    squares *= weights[:, None]
-    sx = float(np.sum(squares))
+    # the rows' weights as doubles, one contiguous row per restart, so a
+    # stack's bincount weights are a view; own is them in counts' shape
+    weights = np.array(np.broadcast_to(counts, (w, n)), dtype=np.float64, order="C")
+    own = weights if counts.ndim == 2 else weights[0]
+    # each restart's N and count-weighted |x|^2: one sum for shared counts
+    total = np.broadcast_to(counts.sum(axis=-1), (w,))
+    squares = np.multiply(x, x, out=np.empty((*own.shape, x.shape[1])))
+    squares *= own[..., None]
+    sx = np.broadcast_to(np.sum(squares.reshape(*own.shape[:-1], -1), axis=-1), (w,))
     del squares  # freed before the scores buffer is taken
     if held:
         # a zero-stride stack: the restarts share x and never copy it
@@ -388,11 +435,13 @@ def sweep_restarts(
         scores = np.empty((w, n, a.shape[-1]))
         y = np.matmul(x, a, out=scores)
         a_end = np.empty_like(a)
-        # the polar step's CX, formed once
-        cx = weights[:, None] * x
+        # the polar step's CX, formed once: (n, p), or (w, n, p) per restart
+        cx = own[..., None] * x
     f = kmeans_pp_init(y, k, streams, counts)
+    # the live restarts' weights, |x|^2 and N; the batch's serve the finalize
+    live_weights, live_sx, live_total = weights, sx, total
     if not held:
-        f, labels, bins, _ = _means_step(y, f, weights)
+        f, labels, bins, _ = _means_step(y, f, live_weights)
     f_end = np.empty_like(f)
     traces = [[] for _ in range(w)]
     live = np.arange(w)
@@ -401,10 +450,10 @@ def sweep_restarts(
         if not held:
             a = _stacked_polar(cx, bins, f)
             y = np.matmul(x, a, out=scores[:len(live)])
-        f, labels, bins, sizes = _means_step(y, f, weights)
+        f, labels, bins, sizes = _means_step(y, f, live_weights)
         # the means-step identity; clamped, as the terms cancel at zero loss
         within = _row_sums(sizes * _row_sums(f * f))
-        loss = np.maximum((sx - within) / total, 0.0)
+        loss = np.maximum((live_sx - within) / live_total, 0.0)
         for r, value in zip(live, loss.tolist()):
             traces[r].append(value)
         stop = np.isfinite(prev) & (
@@ -423,9 +472,12 @@ def sweep_restarts(
         if not keep.any():
             break
         live, f, prev = live[keep], f[keep], prev[keep]
+        live_weights, live_sx, live_total = live_weights[keep], live_sx[keep], live_total[keep]
         if held:
             y = y[:len(live)]
         else:
+            if cx.ndim == 3:
+                cx = cx[keep]
             # the kept slices move up the stack, so their offsets change
             bins = _offset(labels[keep], k)
 
@@ -434,7 +486,7 @@ def sweep_restarts(
     # row sums of the flattened squares add in the order np.sum takes over
     # one restart's n x q scores
     squares = y_end * y_end
-    squares *= weights[:, None]
+    squares *= weights[..., None]
     sy = np.sum(squares.reshape(w, -1), axis=-1)
     del squares  # freed before the distance block is taken
     nearest, low = _nearest(y_end, f_end)
@@ -443,7 +495,7 @@ def sweep_restarts(
     labels = list(nearest)
     # restarts whose nearest-center labels leave a cluster empty
     for r in np.flatnonzero(np.any(sizes == 0, axis=1)):
-        labels[r], d_sums[r] = _finalize_repairs(y_end[r], f_end[r], nearest[r], weights)
+        labels[r], d_sums[r] = _finalize_repairs(y_end[r], f_end[r], nearest[r], weights[r])
     # orthogonal residual plus projected nearest distances
     loss = np.maximum((sx - sy + d_sums) / total, 0.0).tolist()
     for r in range(w):
@@ -455,19 +507,20 @@ def _finalize_repairs(
     y: np.ndarray, f: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Finalize of one restart whose nearest-center labels left a cluster
-    empty: repair, retake the argmin, up to k more times, because a repair
-    can empty another cluster under the next argmin. Returns the labels and
-    the sum of their squared distances, each times its row's weight."""
+    empty (of weight 0): repair, retake the argmin, up to k more times,
+    because a repair can empty another cluster under the next argmin.
+    Returns the labels and the sum of their squared distances, each times
+    its row's weight."""
     k = f.shape[0]
     for _ in range(k):
-        repair_empty_clusters(y, f, labels)
+        _repair_counted(y, f, labels, weights)
         labels, low = _nearest(y, f)
-        if np.all(np.bincount(labels, minlength=k) > 0):
+        if np.all(np.bincount(labels, weights, minlength=k) > 0):
             return labels, float((low * weights).sum())
     # every argmin left a cluster empty, as it must with fewer distinct
     # projected rows than k (equal rows share their argmin center); one more
     # repair leaves every cluster non-empty, and the loss is in assigned form
-    repair_empty_clusters(y, f, labels)
+    _repair_counted(y, f, labels, weights)
     diff = y - f[labels]
     squares = diff * diff
     squares *= weights[:, None]
@@ -477,28 +530,38 @@ def _finalize_repairs(
 def best_restart(
     x: np.ndarray, a: np.ndarray | None, k: int, streams, max_iterations: int,
     counts: np.ndarray | None = None,
-) -> tuple:
+) -> list:
     """The best of the restarts sweep_restarts runs on x, one per stream of
-    the batch ``streams``, with restart r starting from the loading a[r] (a = None holds
-    it at the identity), its rows counted by the integer counts (default
-    once each). The restarts run in batch_width's batches on in_range's
-    scale of x. The winner has the lowest final loss at that scale, ties to
-    the smallest index. Returns (r, a, f, labels, trace) of the winner,
-    whose f and trace alone are scaled back by scaled_fit."""
+    the batch ``streams``, with restart r starting from the loading a[r] (a
+    = None holds it at the identity). The integer counts count the rows:
+    (n,) for every restart (default once each), or (g, n), one row for each
+    of g equal groups of consecutive restarts. The restarts run in
+    batch_width's batches on in_range's scale of x; a batch may span
+    groups. Returns the winner of each group (one group for (n,) counts) as
+    (r, a, f, labels, trace), r its index within its group: the lowest final
+    loss at that scale, ties to the smallest index. Only f and trace are
+    scaled back, by scaled_fit."""
     x, e = in_range(x)
+    shared = counts is None or counts.ndim == 1
+    groups = 1 if shared else len(counts)
+    size = len(streams) // groups
     width = batch_width(x.shape[0], k, len(streams))
-    best = None
+    best = [None] * groups
     for first in range(0, len(streams), width):
         part = slice(first, first + width)
+        batch = counts if shared else counts[np.arange(len(streams))[part] // size]
         results = sweep_restarts(x, None if a is None else a[part], k, streams[part],
-                                 max_iterations, counts)
+                                 max_iterations, batch)
         for r, result in enumerate(results, start=first):
+            g, i = divmod(r, size)
             # a restart's loss is the last entry of its trace
-            if best is None or result[3][-1] < best[4][-1]:
-                best = (r, *result)
-    r, a, f, labels, trace = best
-    f, trace = scaled_fit(f, trace, e, x)
-    return r, a, f, labels, trace
+            if best[g] is None or result[3][-1] < best[g][4][-1]:
+                best[g] = (i, *result)
+    winners = []
+    for r, a, f, labels, trace in best:
+        f, trace = scaled_fit(f, trace, e, x)
+        winners.append((r, a, f, labels, trace))
+    return winners
 
 
 def lloyd_single(
@@ -507,5 +570,5 @@ def lloyd_single(
     """One Lloyd run on raw coordinates y from a k-means++ start drawn from
     the one stream of the batch ``streams``: a width-1 best_restart with the
     loading held. Returns (centers, labels, mean loss, iterations)."""
-    _, _, centers, labels, trace = best_restart(y, None, k, streams, max_iterations)
+    _, _, centers, labels, trace = best_restart(y, None, k, streams, max_iterations)[0]
     return centers, labels, trace[-1], len(trace) - 1

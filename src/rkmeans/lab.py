@@ -9,9 +9,10 @@ at desk scale:
 * replicated sampling experiments that track the fitted loss, the aligned
   parameter distance to the population optimum, and the variance-ratio
   statistic across a grid of sample sizes; a sample's objective is the
-  count-weighted objective over its distinct atoms, so each sample is fit
-  once per distinct atom, with its count (the full draw is fit where it
-  has fewer distinct atoms than clusters),
+  count-weighted objective over the population's atoms at its draw
+  counts, so each sample is fit on the atoms with those counts, and one
+  engine run serves all reps of a sample size (the full draw is fit where
+  it has fewer distinct atoms than clusters),
 * dimension-selection agreement rates on the synthetic benchmark (Table 1),
 * the finite-sample deviation-probability bound.
 
@@ -33,7 +34,7 @@ from .datagen import TABLE1_K, TABLE1_N, DatasetSpec, generate_dataset
 from .errors import DegenerateDataError
 from .metrics import adjusted_rand_index, param_distance
 from .selection import select_dimension
-from .solver import SolverConfig, fit_rkm
+from .solver import SolverConfig, _fit_samples, fit_rkm
 from .types import CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
 
 # directions the oracle searches, evenly spaced over [0, pi)
@@ -306,13 +307,16 @@ def consistency_experiment(
     seed spawn_seed(seed, n, r, 1); each n derives its reps' streams and
     seeds in one key pass (``_seeds.spawn_batches``).
 
-    The sample's objective is exactly the count-weighted objective over its
-    distinct atoms, so the fit is ``fit_rkm`` on the distinct atoms with
-    their counts (np.unique of the draw), and the VR is
-    ``_kernels.weighted_vr`` at those counts: the loss and the VR are the
-    n-row sample's, to rounding. A draw with fewer distinct atoms than k
-    cannot give every cluster a row of its own; that rep fits its n rows,
-    each counted once, and its VR is the sample's ``vr_hat``.
+    The sample's objective is exactly the count-weighted objective over the
+    population's atoms at the draw's counts (np.bincount of the draw, zeros
+    included), so the fit is on pop.atoms at those counts, and the VR is
+    ``_kernels.weighted_vr`` at them: the loss and the VR are the n-row
+    sample's, to rounding. All reps of one n share the atoms, so they fit
+    in one engine run (``solver._fit_samples``), each rep drawing exactly
+    the streams ``fit_rkm`` draws for its seed. A draw with fewer distinct
+    atoms than k cannot give every cluster a row of its own; that rep fits
+    its n rows with ``fit_rkm``, each counted once, and its VR is the
+    sample's ``vr_hat``.
     """
     config = SolverConfig(k=k, q=q, restarts=restarts)  # checked before any solve
     check_seed(seed)
@@ -338,21 +342,31 @@ def consistency_experiment(
 
     records = {field: {n: [] for n in n_grid} for field, _ in _RECORDS}
     theta_star = (optimum.centroids, optimum.loading)
+    support = DataMatrix(pop.atoms)
     for n in n_grid:
         # spawn_seed(seed, n, r, 1) is word 0 of the stream (seed, n, r, 1)'s key
-        _, draws, fits = spawn_batches(seed, n, range(reps), 1)
+        _, samples, fits = spawn_batches(seed, n, range(reps), 1)
         fit_seeds = fits.keys[:, 0].tolist()
-        for r in range(reps):
-            idx = draws[r].choice(pop.m, size=n, p=pop.weights)
-            rows, counts = np.unique(idx, return_counts=True)
-            if rows.size < k:
+        draws = [samples[r].choice(pop.m, size=n, p=pop.weights) for r in range(reps)]
+        counts = np.stack([np.bincount(idx, minlength=pop.m) for idx in draws])
+        # the reps with at least k distinct atoms fit in one engine run
+        stacked = np.flatnonzero(np.count_nonzero(counts, axis=1) >= k).tolist()
+        sols = {}
+        if stacked:
+            sols = dict(zip(stacked, _fit_samples(support, config, counts[stacked],
+                                                  [fit_seeds[r] for r in stacked])))
+        for r, idx in enumerate(draws):
+            if r in sols:
+                sol, x, row_counts = sols[r], pop.atoms, counts[r]
+            else:
                 # too few distinct atoms to give every cluster a row of its
                 # own: fit the full draw, each row once
-                rows, counts = idx, np.ones(n, dtype=np.int64)
-            x = pop.atoms[rows]
-            sol = fit_rkm(DataMatrix(x), replace(config, seed=fit_seeds[r]), counts=counts)
+                x, row_counts = pop.atoms[idx], np.ones(n, dtype=np.int64)
+                sol = fit_rkm(DataMatrix(x), replace(config, seed=fit_seeds[r]),
+                              counts=row_counts)
             try:
-                vr = _kernels.weighted_vr(x, counts, sol.loading.values, sol.centroids.values)
+                vr = _kernels.weighted_vr(x, row_counts, sol.loading.values,
+                                          sol.centroids.values)
             except DegenerateDataError:
                 vr = float("nan")
             values = (

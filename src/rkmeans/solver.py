@@ -127,13 +127,44 @@ def _solve(
     held at the identity if a0 is None. Both solvers seed restart r from the
     stream (seed, r), so they match restart for restart when q == p; a
     loading draw has its own stream."""
-    r, a, f, labels, trace = _kernels.best_restart(
+    winners = _kernels.best_restart(
         X.values, a0, config.k, streams, config.max_iterations, counts,
     )
+    return _solution(X, config.k, winners[0])
+
+
+def _fit_samples(
+    X: DataMatrix, config: SolverConfig, counts: np.ndarray, seeds
+) -> list[RkmSolution]:
+    """fit_rkm of R samples of one support in one engine run: sample r
+    counts row i of X counts[r, i] >= 0 times (counts is (R, n)) and is fit
+    with config at the seed seeds[r]. Sample r draws exactly the streams
+    fit_rkm draws for that seed, and its restart 0 starts from the principal
+    axes at its counts; each sample must count at least k rows. Its rows of
+    count 0 weigh nothing, so its solution is that sample's fit on the whole
+    support, and its assignment labels every row of X."""
+    config.validate_against(X)
+    if np.any(np.count_nonzero(counts, axis=1) < config.k):
+        raise ValueError(f"every sample must count at least k={config.k} rows")
+    seeding, starts = [], []
+    for seed, row in zip(seeds, counts):
+        streams, loading = spawn_batches(seed, range(config.restarts), 1)
+        seeding.append(streams.keys)
+        starts.append(_starts(loading, _kernels.principal_axes(X.values, config.q, row)))
+    winners = _kernels.best_restart(X.values, np.concatenate(starts), config.k,
+                                    Streams(np.concatenate(seeding)),
+                                    config.max_iterations, counts)
+    return [_solution(X, config.k, winner) for winner in winners]
+
+
+def _solution(X: DataMatrix, k: int, winner: tuple) -> RkmSolution:
+    """A best_restart winner (r, a, f, labels, trace) as a solution; a = None
+    is the loading held at the identity."""
+    r, a, f, labels, trace = winner
     return RkmSolution(
         loading=LoadingMatrix(np.eye(X.p) if a is None else a),
         centroids=CentroidSet(f),
-        assignment=Assignment(labels, config.k),
+        assignment=Assignment(labels, k),
         restart_index=r,
         sweep_losses=trace,
     )

@@ -28,7 +28,6 @@ def _lone_kmeans_pp(y, k, rng, counts):
     # from rng: the first center a uniform copy of the N = sum(counts),
     # later ones by searchsorted on the cumulative counts * d2, and a
     # uniform copy again where that mass sums to 0
-    n = y.shape[0]
     cum = np.cumsum(counts)
 
     def any_row():
@@ -45,7 +44,8 @@ def _lone_kmeans_pp(y, k, rng, counts):
         total = float(mass.sum())
         if total > 0.0:
             idx = int(np.searchsorted(np.cumsum(mass), rng.random() * total, side="right"))
-            idx = min(idx, n - 1)
+            # a pick past the end falls back to the last counted row
+            idx = min(idx, int(np.flatnonzero(counts)[-1]))
         else:
             idx = any_row()
         centers[j] = y[idx]
@@ -96,6 +96,54 @@ def test_row_sums_are_numpy_row_sums_bitwise(d):
         v = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
         v[0] = -0.0
         assert _kernels._row_sums(v).tobytes() == np.sum(v, axis=-1).tobytes(), shape
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_square_sums_are_the_row_sums_of_squares_bitwise(d):
+    # the column fold below 8 columns forms no difference or square array,
+    # yet adds as _row_sums of the squared differences does; from 8 columns
+    # up it is that expression
+    rng = np.random.default_rng(40 + d)
+    for v_shape, c_shape in [((37, d), (37, d)), ((3, 11, d), (3, 1, d)), ((3, 11, d), (11, d))]:
+        v = rng.standard_normal(v_shape) * 10.0 ** rng.integers(-6, 7, size=v_shape)
+        c = rng.standard_normal(c_shape)
+        v[0] = -0.0
+        for args, diff in (((v,), v), ((v, c), v - c)):
+            want = _kernels._row_sums(diff * diff)
+            got = _kernels._square_sums(*args)
+            assert got.shape == want.shape, v_shape
+            assert got.tobytes() == want.tobytes(), (v_shape, c_shape, len(args))
+
+
+def _matmul_block(y, centers):
+    # the distance block with every cross product formed by matmul
+    y_sq = _kernels._row_sums(y * y)
+    d = np.empty((centers.shape[-2], *y.shape[:-1]))
+    np.matmul(centers, np.swapaxes(y, -1, -2), out=np.moveaxis(d, 0, -2))
+    d *= -2.0
+    c_sq = _kernels._row_sums(centers * centers)
+    for j in range(len(d)):
+        d[j] += y_sq + c_sq[..., j, None]
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def test_one_column_distance_block_is_the_matmul_block_bitwise():
+    # at d = 1 the block multiplies instead of calling matmul; each entry is
+    # one product, so the bits agree, a zero score against a negative center
+    # (a -0.0 product) included
+    cases = [(y, c) for _, y, c in _distance_cases(12) if y.shape[-1] == 1]
+    rng = np.random.default_rng(13)
+    zeros = np.zeros((4, 9, 1))
+    zeros[:, ::2] = -0.0
+    cases += [(zeros, -np.abs(rng.standard_normal((4, 3, 1)))),
+              (zeros, np.array([[[-1.0], [0.0], [-0.0]]] * 4)),
+              (np.broadcast_to(rng.standard_normal((30, 1)), (5, 30, 1)),
+               rng.standard_normal((5, 2, 1)))]
+    assert len(cases) > 20
+    for y, centers in cases:
+        got = _kernels._distance_block(y, centers)
+        assert got.tobytes() == _matmul_block(y, centers).tobytes()
 
 
 def test_nearest_is_the_row_major_argmin_bitwise():
@@ -293,3 +341,52 @@ def test_stacked_kmeans_pp_seeds_a_shared_stack():
         for r in range(w):
             want = _lone_kmeans_pp(x, k, spawn_rng(case, r), counts)
             assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"
+
+
+def test_stacked_kmeans_pp_never_draws_a_zero_count_row():
+    # per-restart counts (w, n) with zeros: each restart seeds as a lone
+    # run on its own counts would, and a row of count 0 has no copies and no
+    # mass, so it is never a center, also where a restart's mass runs out
+    rng = np.random.default_rng(14)
+    exhausted = 0
+    for case in range(120):
+        k, w = case % 6 + 1, int(rng.integers(1, 20))
+        n, d = int(rng.integers(k + 1, 30)), int(rng.integers(1, 4))
+        y = rng.integers(-2, 3, (w, n, d)) * 1.0 if case % 2 else rng.standard_normal((w, n, d))
+        counts = rng.integers(0, 4, (w, n)) * (rng.random((w, n)) < 0.6)
+        for r in range(w):
+            live = rng.choice(n, k, replace=False)
+            counts[r, live] = np.maximum(counts[r, live], 1)
+            if r % 3 == 0:
+                # k counted rows, one of them repeated: the mass runs out
+                y[r, live[1:]] = y[r, live[0]]
+            # every zero-count row sits apart from every counted row
+            y[r, counts[r] == 0] = 100.0 + np.arange(n)[counts[r] == 0, None]
+        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)), counts)
+        for r in range(w):
+            want = _lone_kmeans_pp(y[r], k, spawn_rng(case, r), counts[r])
+            assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"
+            assert np.all(got[r] < 100.0), f"case {case}, restart {r}"
+            exhausted += len(np.unique(y[r][counts[r] > 0], axis=0)) < k
+    assert exhausted > 20, "too few restarts ran out of mass"
+
+
+def test_a_repair_moves_no_zero_count_row():
+    # cluster 1's only members have count 0, so it is empty: the repair
+    # moves a counted row of a cluster with two counted rows, and the
+    # zero-count rows keep their nearest-center labels
+    y = np.array([[0.0], [0.2], [0.4], [5.0], [5.1]])
+    weights = np.array([[1.0, 2.0, 1.0, 0.0, 0.0]])
+    f = np.array([[[0.1], [5.0]]])
+    means, labels, _, sizes = _kernels._means_step(y[None], f, weights)
+    assert labels[0, 3:].tolist() == [1, 1]
+    moved = np.flatnonzero(labels[0, :3] == 1)
+    assert moved.tolist() == [2]  # the counted row farthest from its center
+    assert sizes.tolist() == [[3.0, 1.0]]
+    assert means[0, :, 0].tolist() == [(0.0 + 2 * 0.2) / 3, 0.4]
+    # a sample of exactly k counted rows: each cluster keeps one
+    weights = np.array([[0.0, 3.0, 0.0, 0.0, 1.0]])
+    f = np.array([[[0.0], [0.2]]])
+    _, labels, _, sizes = _kernels._means_step(y[None], f, weights)
+    assert np.all(sizes > 0)
+    assert sorted(labels[0, [1, 4]].tolist()) == [0, 1]

@@ -467,6 +467,7 @@ def _forbid_solves(monkeypatch):
 
     monkeypatch.setattr(lab, "oracle_global_min", unreachable)
     monkeypatch.setattr(lab, "fit_rkm", unreachable)
+    monkeypatch.setattr(lab, "_fit_samples", unreachable)
     monkeypatch.setattr(lab, "generate_dataset", unreachable)
 
 
@@ -588,43 +589,70 @@ class TestConsistencyExperiment:
             consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(10,), reps=1, seed=seed)
 
     def test_each_rep_refits_its_own_sample_and_seed(self):
-        # rep (n, r) draws with spawn_rng(seed, n, r) and fits the draw's
-        # distinct atoms, weighted by their counts, with spawn_seed(seed, n,
-        # r, 1), bit for bit; its VR is the count-weighted ratio
-        pop = four_atom_pop()
-        report = consistency_experiment(pop, k=2, q=1, n_grid=(12, 30), reps=2,
+        # rep (n, r) draws with spawn_rng(seed, n, r) and fits the atoms at
+        # the draw's counts with spawn_seed(seed, n, r, 1), bit for bit: a
+        # draw that covers every atom is fit_rkm's fit, any other the
+        # many-samples entry's fit of that sample alone; its VR is the
+        # count-weighted ratio
+        pop = PopulationSpec(np.array([[-2.0, 0.5], [-1.0, -0.3], [0.2, 0.1], [1.4, 0.6],
+                                       [2.5, -0.4]]), [0.1, 0.3, 0.2, 0.25, 0.15])
+        report = consistency_experiment(pop, k=2, q=1, n_grid=(6, 30), reps=3,
                                         restarts=3, seed=4)
-        for n in (12, 30):
-            for r in range(2):
+        paths = []
+        for n in (6, 30):
+            for r in range(3):
                 idx = spawn_rng(4, n, r).choice(pop.m, size=n, p=pop.weights)
-                rows, counts = np.unique(idx, return_counts=True)
-                assert rows.size >= 2
-                x = pop.atoms[rows]
-                sol = fit_rkm(DataMatrix(x),
-                              SolverConfig(k=2, q=1, restarts=3, seed=spawn_seed(4, n, r, 1)),
-                              counts=counts)
+                counts = np.bincount(idx, minlength=pop.m)
+                assert np.count_nonzero(counts) >= 2
+                config = SolverConfig(k=2, q=1, restarts=3, seed=spawn_seed(4, n, r, 1))
+                X = DataMatrix(pop.atoms)
+                paths.append(bool(np.all(counts > 0)))
+                if paths[-1]:
+                    sol = fit_rkm(X, config, counts=counts)
+                else:
+                    sol, = lab._fit_samples(X, config, counts[None], [config.seed])
                 assert report.losses[n][r] == sol.loss
                 assert report.vr_values[n][r] == _kernels.weighted_vr(
-                    x, counts, sol.loading.values, sol.centroids.values)
+                    pop.atoms, counts, sol.loading.values, sol.centroids.values)
                 assert report.population_risks[n][r] == population_risk(
                     pop, sol.loading, sol.centroids)
+        assert any(paths) and not all(paths), "a path went untested"
+
+    @staticmethod
+    def _spy(monkeypatch, seen):
+        """Record every fit the lab makes, by its seed, through both entries:
+        seen[seed] = (config, the rows' counts, the fit's data, solution)."""
+        fit, many = lab.fit_rkm, lab._fit_samples
+
+        def one(X, cfg, counts):
+            sol = fit(X, cfg, counts=counts)
+            seen[cfg.seed] = (cfg, counts, X, sol)
+            return sol
+
+        def stacked(X, cfg, counts, seeds):
+            sols = many(X, cfg, counts, seeds)
+            for row, seed, sol in zip(counts, seeds, sols):
+                seen[seed] = (dataclasses.replace(cfg, seed=seed), row, X, sol)
+            return sols
+
+        monkeypatch.setattr(lab, "fit_rkm", one)
+        monkeypatch.setattr(lab, "_fit_samples", stacked)
 
     def test_every_rep_scores_its_full_draw(self, monkeypatch):
         # the weighted fit's loss and VR are those of the n-row draw it
         # stands for: rkm_objective and vr_hat of the fitted parameters on
         # the draw itself, to 1e-12 relative
-        fits = []
-        real = lab.fit_rkm
-        monkeypatch.setattr(lab, "fit_rkm",
-                            lambda X, cfg, **kw: fits.append(real(X, cfg, **kw)) or fits[-1])
+        fits = {}
+        self._spy(monkeypatch, fits)
         atoms = np.array([[-2.0, 0.5], [-1.0, -0.3], [0.2, 0.1], [1.4, 0.6], [2.5, -0.4]])
         pop = PopulationSpec(atoms, [0.1, 0.3, 0.2, 0.25, 0.15])
         for k in (2, 3):
             fits.clear()
             report = consistency_experiment(pop, k=k, q=1, n_grid=(15, 60, 400), reps=3,
                                             restarts=4, seed=k)
+            assert len(fits) == 9
             for n, r in itertools.product(report.n_grid, range(3)):
-                sol = fits[report.n_grid.index(n) * 3 + r]
+                sol = fits[spawn_seed(k, n, r, 1)][3]
                 idx = spawn_rng(k, n, r).choice(pop.m, size=n, p=pop.weights)
                 X = DataMatrix(atoms[idx])
                 assert report.losses[n][r] == pytest.approx(
@@ -635,13 +663,13 @@ class TestConsistencyExperiment:
         # three atoms, k = 3: a draw that misses an atom cannot give every
         # cluster a row of its own, so that rep fits its n rows, each counted
         # once, bit for bit; the other reps fit k distinct atoms
-        paths = []
-        real = lab.fit_rkm
-        monkeypatch.setattr(lab, "fit_rkm", lambda X, cfg, counts: paths.append(
-            np.unique(X.values, axis=0).shape[0] < cfg.k) or real(X, cfg, counts=counts))
+        fits = {}
+        self._spy(monkeypatch, fits)
         pop = PopulationSpec(np.array([[-2.0, 0.5], [0.2, 0.1], [2.5, -0.4]]), np.full(3, 1 / 3))
         report = consistency_experiment(pop, k=3, q=1, n_grid=(3, 4), reps=6, restarts=3,
                                         seed=5)
+        paths = [np.unique(X.values[counts > 0], axis=0).shape[0] < cfg.k
+                 for cfg, counts, X, _ in fits.values()]
         assert any(paths) and not all(paths), "a path went untested"
         full = 0
         for n, r in itertools.product((3, 4), range(6)):
@@ -650,7 +678,7 @@ class TestConsistencyExperiment:
                 continue
             full += 1
             X = DataMatrix(pop.atoms[idx])
-            sol = real(X, SolverConfig(k=3, q=1, restarts=3, seed=spawn_seed(5, n, r, 1)))
+            sol = fit_rkm(X, SolverConfig(k=3, q=1, restarts=3, seed=spawn_seed(5, n, r, 1)))
             assert report.losses[n][r] == sol.loss
             assert report.vr_values[n][r] == vr_hat(X, sol)
             assert report.population_risks[n][r] == population_risk(
@@ -658,13 +686,11 @@ class TestConsistencyExperiment:
         assert full == sum(paths)
 
     def test_defaults_to_20_restarts_and_seed_0(self, monkeypatch):
-        seen = []
-        real = lab.fit_rkm
-        monkeypatch.setattr(lab, "fit_rkm",
-                            lambda X, cfg, **kw: seen.append(cfg) or real(X, cfg, **kw))
+        seen = {}
+        self._spy(monkeypatch, seen)
         consistency_experiment(four_atom_pop(), k=2, q=1, n_grid=(8,), reps=2)
-        assert seen == [SolverConfig(k=2, q=1, restarts=20, seed=spawn_seed(0, 8, r, 1))
-                        for r in range(2)]
+        assert [cfg for cfg, *_ in seen.values()] == [
+            SolverConfig(k=2, q=1, restarts=20, seed=spawn_seed(0, 8, r, 1)) for r in range(2)]
 
 
 class TestAgreementExperiment:

@@ -1,4 +1,5 @@
 """Alternating least squares solver: block updates, descent, determinism."""
+import dataclasses
 import re
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_counts_default_to_once_each(dtype):
             a, b = getattr(plain, part), getattr(unit, part)
             a, b = (a.labels, b.labels) if part == "assignment" else (a.values, b.values)
             assert a.tobytes() == b.tobytes(), f"case {case}, {part}"
-        held = [_kernels.best_restart(x, None, k, spawn_streams(case, range(7)), 300, *counts)
+        held = [_kernels.best_restart(x, None, k, spawn_streams(case, range(7)), 300, *counts)[0]
                 for counts in ((), (ones,))]
         assert held[0][0] == held[1][0] and held[0][4] == held[1][4], f"case {case}"
         for got, want in zip(held[0][2:4], held[1][2:4]):
@@ -742,7 +743,7 @@ def test_an_earlier_sweep_past_the_largest_double_reads_inf():
     # past the largest double once scaled back, its final loss is not
     x = _demo_draws() * 2.0**513
     a0 = solver._starts(spawn_streams(0, range(10), 1), _kernels.principal_axes(x, 1))
-    trace = _kernels.best_restart(x, a0[3:4], 2, spawn_streams(0, [3]), 300)[4]
+    trace = _kernels.best_restart(x, a0[3:4], 2, spawn_streams(0, [3]), 300)[0][4]
     assert trace[:2] == [np.inf, np.inf]
     assert np.isfinite(trace[-1]) and trace[-1] > 7e306
 
@@ -809,3 +810,123 @@ def test_tandem_fits_data_past_the_range_of_its_squares(scale_data):
         assert scaled_km.sweep_losses == tuple(v * scale * scale for v in km.sweep_losses)
     with pytest.raises(ValueError, match="loss overflows a double"):
         tandem_fit(DataMatrix(z * 1e307), 4, 2, restarts=2)
+
+
+def _solution_bits(sol):
+    return (sol.restart_index, sol.sweep_losses, sol.loading.values.tobytes(),
+            sol.centroids.values.tobytes(), sol.assignment.labels.tobytes())
+
+
+def _sample_stacks(seed, low):
+    """Samples of one support: (case, x, counts (R, n), config, seeds), the
+    counts from low to 4 with every sample counting at least k rows, on
+    random and integer-grid supports with duplicated rows."""
+    rng = np.random.default_rng(seed)
+    for case in range(30):
+        n, p = int(rng.integers(3, 30)), int(rng.integers(1, 5))
+        q, k = int(rng.integers(1, p + 1)), int(rng.integers(1, min(n, 5) + 1))
+        x = rng.standard_normal((n, p)) if case % 2 else rng.integers(-2, 3, (n, p)) * 1.0
+        x[: n // 4] = x[n // 4: 2 * (n // 4)]
+        R = int(rng.integers(1, 6))
+        counts = rng.integers(low, 5, (R, n))
+        for row in counts:
+            live = rng.choice(n, k, replace=False)
+            row[live] = np.maximum(row[live], 1)
+        config = SolverConfig(k=k, q=q, restarts=int(rng.integers(1, 8)))
+        yield case, x, counts, config, rng.integers(0, 2**63, R).tolist()
+
+
+def test_samples_with_positive_counts_are_their_fit_rkm_fits_bitwise():
+    # a stack of samples whose counts are all positive: each sample's
+    # solution is fit_rkm's at its counts and seed, bit for bit
+    from rkmeans import solver
+
+    for case, x, counts, config, seeds in _sample_stacks(20, low=1):
+        sols = solver._fit_samples(DataMatrix(x), config, counts, seeds)
+        assert len(sols) == len(counts)
+        for sol, row, seed in zip(sols, counts, seeds):
+            want = fit_rkm(DataMatrix(x), dataclasses.replace(config, seed=seed), counts=row)
+            assert _solution_bits(sol) == _solution_bits(want), f"case {case}"
+
+
+def test_each_sample_of_a_stack_is_its_lone_fit_at_every_batch_width(monkeypatch):
+    # samples with zero counts: at batch widths 1, 2 and all, each sample's
+    # solution is that of the entry called on it alone; a zero-count row
+    # keeps its nearest-center label, as no repair moves it
+    from rkmeans import _kernels, solver
+
+    zeros = 0
+    for case, x, counts, config, seeds in _sample_stacks(21, low=0):
+        X = DataMatrix(x)
+        lone = [_solution_bits(solver._fit_samples(X, config, counts[r:r + 1], seeds[r:r + 1])[0])
+                for r in range(len(counts))]
+        total = len(counts) * config.restarts
+        for width in (1, 2, total):
+            monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * X.n * config.k)
+            sols = solver._fit_samples(X, config, counts, seeds)
+            assert [_solution_bits(sol) for sol in sols] == lone, f"case {case}, width {width}"
+        monkeypatch.undo()
+        for sol, row in zip(sols, counts):
+            idle = row == 0
+            zeros += int(idle.sum())
+            if idle.any():
+                nearest = assign_clusters(DataMatrix(x[idle]), sol.loading, sol.centroids)
+                assert np.array_equal(sol.assignment.labels[idle], nearest.labels), f"case {case}"
+            assert np.all(np.bincount(sol.assignment.labels, row, minlength=config.k) > 0)
+    assert zeros > 100
+
+
+def test_a_sample_of_exactly_k_counted_rows_fits():
+    # k counted rows for k clusters: every cluster holds one of them, and
+    # the fit is that of the counted rows alone, to rounding
+    from rkmeans import solver
+
+    rng = np.random.default_rng(22)
+    for case in range(20):
+        n, k = 12, int(rng.integers(1, 5))
+        x = rng.standard_normal((n, 2))
+        counts = np.zeros((1, n), dtype=np.int64)
+        live = rng.choice(n, k, replace=False)
+        counts[0, live] = rng.integers(1, 4, k)
+        sol, = solver._fit_samples(DataMatrix(x), SolverConfig(k=k, q=1, restarts=3),
+                                   counts, [case])
+        held = np.bincount(sol.assignment.labels, counts[0], minlength=k)
+        assert np.all(held > 0), f"case {case}"
+        full = DataMatrix(np.repeat(x, counts[0], axis=0))
+        assert sol.loss == pytest.approx(rkm_objective(full, sol.loading, sol.centroids),
+                                         rel=1e-12, abs=1e-15), f"case {case}"
+
+
+def test_group_winners_break_ties_to_the_smallest_index(monkeypatch):
+    # best_restart over g groups of restarts returns each group's lowest
+    # final loss among its lone runs, ties to the smallest index in it
+    from rkmeans import _kernels
+    from rkmeans._seeds import spawn_streams
+
+    ties = 0
+    for case, x, k, q, cap, R in _small_grid_cases(23):
+        g = case % 3 + 1
+        counts = np.random.default_rng(case).integers(1, 3, (g, len(x)))
+        streams = spawn_streams(case, range(g * R))
+        lone = [_kernels.sweep_restarts(x, None, k, streams[r:r + 1], cap, counts[r // R])[0]
+                for r in range(g * R)]
+        for width in (1, 2, g * R):
+            monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * len(x) * k)
+            winners = _kernels.best_restart(x, None, k, streams, cap, counts)
+            assert len(winners) == g
+            for group, (r, _, f, labels, trace) in enumerate(winners):
+                losses = [run[3][-1] for run in lone[group * R:(group + 1) * R]]
+                best = losses.index(min(losses))
+                assert (r, trace) == (best, lone[group * R + best][3]), f"case {case}"
+                assert f.tobytes() == lone[group * R + best][1].tobytes(), f"case {case}"
+                ties += width == 1 and losses.count(min(losses)) > 1
+    assert ties > 10, "too few groups had tied losses"
+
+
+def test_samples_must_count_k_rows():
+    from rkmeans import solver
+
+    X = DataMatrix(np.arange(12.0).reshape(6, 2))
+    counts = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 5]])
+    with pytest.raises(ValueError, match="every sample must count at least k=2 rows"):
+        solver._fit_samples(X, SolverConfig(k=2, q=1, restarts=2), counts, [0, 1])

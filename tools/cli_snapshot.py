@@ -121,6 +121,10 @@ COMMANDS = [
     # a raw bound past the largest double: null in the JSON
     ("rate-bound-raw-inf", "rate-bound --n 100 --clusters 100 --p 10 --radius 1 --epsilon 1.2"
                            " --output rb.json"),
+    # many reps per n: each n's reps fit in one engine run over the eight
+    # atoms, the draws of n = 8 with zero counts among them
+    ("consistency-many-reps", "bench-consistency --atoms atoms8.csv --n-grid 8,25,200 --reps 12"
+                              " --restarts 3 --seed 9"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
