@@ -188,16 +188,16 @@ def weighted_vr(x: np.ndarray, w: np.ndarray, a: np.ndarray, f: np.ndarray) -> f
     return within / total
 
 
-def kmeans_pp_init(y: np.ndarray, k: int, streams, counts: np.ndarray) -> np.ndarray:
-    """k-means++ seeding of a stack of restarts: scores y (w, n, d), rows
-    with non-negative integer counts, (n,) shared by every restart or (w, n)
-    one row per restart, row i standing for counts[i] copies of itself, and
-    restart j drawing from streams[j] (``_seeds.Streams``). Each restart
-    gets k rows of its y (w, k, d), each drawn with probability proportional
-    to squared distance from the centers already chosen. The first center is
-    copy integers(N) of the N = sum(counts), later ones are drawn in
-    proportion to counts * d2 by random(); a zero-count row has no copies
-    and no mass, so it is never drawn.
+def kmeans_pp_init(y: np.ndarray, k: int, streams, weights: np.ndarray) -> np.ndarray:
+    """k-means++ seeding of a stack of restarts: scores y (w, n, d), the
+    contiguous row weights (w, n), integer doubles totalling at most 2^53
+    per restart (so they sum and compare exactly), restart j drawing from
+    streams[j] (``_seeds.Streams``) with its row i standing for weights[j, i]
+    copies of itself. Each restart gets k rows of its y (w, k, d), each
+    drawn with probability proportional to squared distance from the centers
+    already chosen: the first is copy integers(N) of the N = sum(weights),
+    later ones are drawn in proportion to weights * d2 by random(). A
+    zero-weight row has no copies and no mass, so it is never drawn.
 
     A lone restart's seeding takes its draws in turn. Here every restart
     first takes its integers(N) and k - 1 random() draws, in restart order,
@@ -209,8 +209,8 @@ def kmeans_pp_init(y: np.ndarray, k: int, streams, counts: np.ndarray) -> np.nda
     restart re-draws its sequence from its stream's start with integers(N)
     from step s on."""
     w, n = y.shape[:2]
-    cum = np.cumsum(np.broadcast_to(counts, (w, n)), axis=-1)
-    copies = cum[:, -1].tolist()
+    cum = np.cumsum(weights, axis=-1)
+    copies = cum[:, -1].astype(np.int64).tolist()
     first = np.empty(w, dtype=np.int64)
     u = np.empty((w, k - 1))
     for j in range(w):
@@ -227,7 +227,7 @@ def kmeans_pp_init(y: np.ndarray, k: int, streams, counts: np.ndarray) -> np.nda
     d2 = np.full((w, n), np.inf)
     for s in range(1, k):
         np.minimum(d2, _square_sums(y, centers[:, s - 1, None]), out=d2)
-        mass = counts * d2
+        mass = weights * d2
         total = mass.sum(axis=-1)
         picks = (np.cumsum(mass, axis=-1) <= (u[:, s - 1] * total)[:, None]).sum(axis=-1)
         centers[:, s] = y[lanes, np.minimum(picks, last)]
@@ -375,7 +375,7 @@ def _means_step(y: np.ndarray, f: np.ndarray, weights: np.ndarray) -> tuple:
 
 def sweep_restarts(
     x: np.ndarray, a: np.ndarray | None, k: int, streams, max_iterations: int,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> list:
     """Run a stack of restarts in lockstep, one per stream of the batch
     ``streams`` (``_seeds.Streams``), each until its loss falls by at most
@@ -391,11 +391,11 @@ def sweep_restarts(
     restart scores x itself and each sweep is a Lloyd step (plain k-means).
     x and a are only read.
 
-    Integer ``counts`` make row i stand for counts[i] copies of itself, so
-    the fit is that of the N = sum(counts) expanded rows: the seeding, the
-    means, the polar step on (UF)'CX and every loss are count-weighted,
-    while a repair still moves one whole row. They are (n,), shared by every
-    restart and by default once each, or (w, n), one row per restart. A
+    The integer ``counts``, (n,) shared by every restart or (w, n) one row
+    per restart, at most 2^53 in total per restart, make row i stand for
+    counts[i] copies of itself: the fit is that of the N = sum(counts)
+    expanded rows. The seeding, the means, the polar step on (UF)'CX and
+    every loss are count-weighted, while a repair moves one whole row. A
     count may be 0 if every restart counts at least k rows: a zero-count
     row weighs 0 in every sum, is never a k-means++ center, is never moved
     by a repair and never keeps a cluster non-empty.
@@ -415,7 +415,6 @@ def sweep_restarts(
     """
     n, w = x.shape[0], len(streams)
     held = a is None
-    counts = np.ones(n, dtype=np.int64) if counts is None else counts
     # the rows' weights as doubles, one contiguous row per restart, so a
     # stack's bincount weights are a view; own is them in counts' shape
     weights = np.array(np.broadcast_to(counts, (w, n)), dtype=np.float64, order="C")
@@ -437,7 +436,7 @@ def sweep_restarts(
         a_end = np.empty_like(a)
         # the polar step's CX, formed once: (n, p), or (w, n, p) per restart
         cx = own[..., None] * x
-    f = kmeans_pp_init(y, k, streams, counts)
+    f = kmeans_pp_init(y, k, streams, weights)
     # the live restarts' weights, |x|^2 and N; the batch's serve the finalize
     live_weights, live_sx, live_total = weights, sx, total
     if not held:
@@ -533,23 +532,23 @@ def best_restart(
 ) -> list:
     """The best of the restarts sweep_restarts runs on x, one per stream of
     the batch ``streams``, with restart r starting from the loading a[r] (a
-    = None holds it at the identity). The integer counts count the rows:
-    (n,) for every restart (default once each), or (g, n), one row for each
-    of g equal groups of consecutive restarts. The restarts run in
-    batch_width's batches on in_range's scale of x; a batch may span
-    groups. Returns the winner of each group (one group for (n,) counts) as
-    (r, a, f, labels, trace), r its index within its group: the lowest final
-    loss at that scale, ties to the smallest index. Only f and trace are
-    scaled back, by scaled_fit."""
+    = None holds it at the identity). The integer counts (g, n), by default
+    one group of ones, hold a row for each of g equal groups of consecutive
+    restarts. The restarts run in batch_width's batches on in_range's scale
+    of x: a batch inside one group runs on that group's row, shared, and a
+    batch across groups on one row per restart. Returns each group's winner
+    as (r, a, f, labels, trace), r its index within its group: the lowest
+    final loss at that scale, ties to the smallest index. Only f and trace
+    are scaled back, by scaled_fit."""
     x, e = in_range(x)
-    shared = counts is None or counts.ndim == 1
-    groups = 1 if shared else len(counts)
-    size = len(streams) // groups
+    counts = np.ones((1, x.shape[0]), dtype=np.int64) if counts is None else counts
+    size = len(streams) // len(counts)
     width = batch_width(x.shape[0], k, len(streams))
-    best = [None] * groups
+    best = [None] * len(counts)
     for first in range(0, len(streams), width):
         part = slice(first, first + width)
-        batch = counts if shared else counts[np.arange(len(streams))[part] // size]
+        groups = np.arange(len(streams))[part] // size
+        batch = counts[groups[0]] if groups[0] == groups[-1] else counts[groups]
         results = sweep_restarts(x, None if a is None else a[part], k, streams[part],
                                  max_iterations, batch)
         for r, result in enumerate(results, start=first):

@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from ._seeds import spawn_streams
 from .errors import DegenerateDataError
-from .solver import SolverConfig, _solve
+from .solver import SolverConfig, _solution
 from .types import Assignment, CentroidSet, DataMatrix, LoadingMatrix, RkmSolution
 
 
@@ -32,7 +32,9 @@ def kmeans_fit(
     """
     config = SolverConfig(k=int(k), q=X.p, restarts=restarts, seed=seed)
     config.validate_against(X)
-    return _solve(X, config, spawn_streams(config.seed, range(config.restarts)))
+    streams = spawn_streams(config.seed, range(config.restarts))
+    winner = _kernels.best_restart(X.values, None, config.k, streams, config.max_iterations)[0]
+    return _solution(X, config.k, winner)
 
 
 # kmeans_1d_exact shifts its values by their mean where |mean| exceeds this

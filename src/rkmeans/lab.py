@@ -362,8 +362,7 @@ def consistency_experiment(
                 # too few distinct atoms to give every cluster a row of its
                 # own: fit the full draw, each row once
                 x, row_counts = pop.atoms[idx], np.ones(n, dtype=np.int64)
-                sol = fit_rkm(DataMatrix(x), replace(config, seed=fit_seeds[r]),
-                              counts=row_counts)
+                sol = fit_rkm(DataMatrix(x), replace(config, seed=fit_seeds[r]))
             try:
                 vr = _kernels.weighted_vr(x, row_counts, sol.loading.values,
                                           sol.centroids.values)

@@ -89,12 +89,12 @@ def fit_rkm(
     width depends on the input's shape only; each restart's result is
     bitwise what it would be on its own.
 
-    The optional ``counts`` are positive integer multiplicities, one per row
-    of X: the fit is then that of X with row i repeated counts[i] times, at
-    the cost of X's n rows. Its loss is the expanded sample's mean-per-object
-    objective, its principal axes and k-means++ draws are the count-weighted
-    ones, and its assignment labels X's n rows. Without counts each row
-    counts once. X must still have at least k rows.
+    The optional ``counts`` are positive integers, one per row of X,
+    totalling at most 2^53 (default once each): the fit is that of X with
+    row i repeated counts[i] times, at the cost of X's n rows. Its loss,
+    principal axes and k-means++ draws are the expanded sample's, and its
+    assignment labels X's n rows. X must still have at least k rows. This
+    is _fit_samples on the one sample.
 
     The returned solution is finalized so that its assignment is the nearest-
     centroid rule for its (loading, centroids) and its loss is exactly the
@@ -110,49 +110,33 @@ def fit_rkm(
         raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
     if np.any(counts < 1):
         raise ValueError("counts must be positive")
-    # restart r seeds its centroids from the stream (seed, r) and draws its
-    # loading from (seed, r, 1): one key pass derives both batches
-    seeding, loading = spawn_batches(config.seed, range(config.restarts), 1)
-    a0 = _starts(loading, _kernels.principal_axes(X.values, config.q, counts))
-    return _solve(X, config, seeding, a0, counts)
-
-
-def _solve(
-    X: DataMatrix, config: SolverConfig, streams: Streams, a0: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
-) -> RkmSolution:
-    """best_restart on X, its rows counted by the integer counts (default
-    once each), as a solution, restart r seeding its centroids from
-    streams[r], from the stacked starting loadings a0, or with the loading
-    held at the identity if a0 is None. Both solvers seed restart r from the
-    stream (seed, r), so they match restart for restart when q == p; a
-    loading draw has its own stream."""
-    winners = _kernels.best_restart(
-        X.values, a0, config.k, streams, config.max_iterations, counts,
-    )
-    return _solution(X, config.k, winners[0])
+    if (total := sum(counts.tolist())) > 2**53:
+        raise ValueError(f"counts must total at most 2**53 (doubles weigh the rows), got {total}")
+    return _fit_samples(X, config, counts[None], [config.seed])[0]
 
 
 def _fit_samples(
     X: DataMatrix, config: SolverConfig, counts: np.ndarray, seeds
 ) -> list[RkmSolution]:
-    """fit_rkm of R samples of one support in one engine run: sample r
-    counts row i of X counts[r, i] >= 0 times (counts is (R, n)) and is fit
-    with config at the seed seeds[r]. Sample r draws exactly the streams
-    fit_rkm draws for that seed, and its restart 0 starts from the principal
-    axes at its counts; each sample must count at least k rows. Its rows of
-    count 0 weigh nothing, so its solution is that sample's fit on the whole
-    support, and its assignment labels every row of X."""
+    """fit_rkm of R samples of one support in one best_restart run: sample r
+    counts row i of X counts[r, i] >= 0 times (counts (R, n), each row at
+    least k nonzero and totalling at most 2^53) and is fit with config at
+    the seed seeds[r]. Its restart j seeds from the stream (seeds[r], j) and
+    draws its loading from (seeds[r], j, 1); restart 0 starts from the
+    principal axes at its counts. A row of count 0 weighs nothing, so the
+    solution is the sample's fit, labelling every row of X."""
     config.validate_against(X)
     if np.any(np.count_nonzero(counts, axis=1) < config.k):
         raise ValueError(f"every sample must count at least k={config.k} rows")
-    seeding, starts = [], []
+    seeding, loading, pca = [], [], []
     for seed, row in zip(seeds, counts):
-        streams, loading = spawn_batches(seed, range(config.restarts), 1)
+        # one key pass per sample derives both of its batches
+        streams, draws = spawn_batches(seed, range(config.restarts), 1)
         seeding.append(streams.keys)
-        starts.append(_starts(loading, _kernels.principal_axes(X.values, config.q, row)))
-    winners = _kernels.best_restart(X.values, np.concatenate(starts), config.k,
-                                    Streams(np.concatenate(seeding)),
+        loading.append(draws.keys)
+        pca.append(_kernels.principal_axes(X.values, config.q, row))
+    a0 = _starts(Streams(np.concatenate(loading)), np.stack(pca))
+    winners = _kernels.best_restart(X.values, a0, config.k, Streams(np.concatenate(seeding)),
                                     config.max_iterations, counts)
     return [_solution(X, config.k, winner) for winner in winners]
 
@@ -170,15 +154,17 @@ def _solution(X: DataMatrix, k: int, winner: tuple) -> RkmSolution:
     )
 
 
-def _starts(loading: Streams, pca_a: np.ndarray) -> np.ndarray:
-    """Stacked starting loadings of every restart, one per stream of the
-    batch ``loading``: restart 0 from the principal axes pca_a, later ones
-    from the polar factor of the Gaussian of their own stream."""
-    g = [loading[r].standard_normal(pca_a.shape) if r else pca_a
-         for r in range(len(loading))]
+def _starts(loading: Streams, pca: np.ndarray) -> np.ndarray:
+    """Stacked starting loadings of R samples' restarts, one per stream of
+    the batch ``loading``, sample-major: each sample's restart 0 from its
+    principal axes pca[s] (pca is (R, p, q)), later ones from the polar
+    factor of the Gaussian of their own stream. One stacked SVD serves all."""
+    restarts = len(loading) // len(pca)
+    g = [loading[j].standard_normal(pca.shape[1:]) if j % restarts else pca[j // restarts]
+         for j in range(len(loading))]
     u, _, vh = np.linalg.svd(np.stack(g), full_matrices=False)
     a0 = u @ vh
-    a0[0] = pca_a  # its slot in the stacked SVD only held a place
+    a0[::restarts] = pca  # their slots in the stacked SVD only held a place
     return a0
 
 

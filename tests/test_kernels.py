@@ -8,8 +8,14 @@ loop); the fits' byte-identical output rests on these equalities.
 import numpy as np
 import pytest
 
-from rkmeans import CentroidSet, SolverConfig, _kernels, directed_hausdorff, solver
+from rkmeans import CentroidSet, _kernels, directed_hausdorff, solver
 from rkmeans._seeds import spawn_rng, spawn_streams
+
+
+def _float_weights(counts, w):
+    # the engine's row weights: integer counts, (n,) or (w, n), as one
+    # contiguous row of doubles per restart
+    return np.array(np.broadcast_to(counts, (w, np.shape(counts)[-1])), dtype=np.float64)
 
 
 def _row_major_nearest(y, centers):
@@ -258,40 +264,52 @@ def test_stacked_scores_are_the_per_restart_products_bitwise():
 
 
 def test_stacked_starts_are_the_per_restart_loop_bitwise(monkeypatch):
-    # the starts' stacked SVD gives each restart the loading of its own, and
+    # the starts' one stacked SVD over R samples gives each restart the
+    # loading of its own, each sample's restart 0 its own principal axes, and
     # the engine seeds each restart's centers on its own x @ a, as a lone
     # k-means++ run from its own stream would
     seed_centers = _kernels.kmeans_pp_init
     seeded = []
 
-    def recording(y, k, streams, counts):
-        centers = seed_centers(y, k, streams, counts)
+    def recording(y, k, streams, weights):
+        centers = seed_centers(y, k, streams, weights)
         seeded.extend(centers.copy())  # a repair may move the engine's copy
         return centers
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     rng = np.random.default_rng(3)
+    samples = 0
     for case in range(40):
         n, p = int(rng.integers(2, 120)), int(rng.integers(1, 9))
         q, k = int(rng.integers(1, p + 1)), int(rng.integers(1, min(n, 8) + 1))
         x = rng.standard_normal((n, p))
-        config = SolverConfig(k=k, q=q, restarts=int(rng.integers(1, 11)), seed=case)
-        pca_a = _kernels.principal_axes(x, q)
-        restarts = range(config.restarts)
-        a0 = solver._starts(spawn_streams(case, restarts, 1), pca_a)
-        seeded.clear()
-        _kernels.sweep_restarts(x, a0, k, spawn_streams(case, restarts), 1)
-        assert len(a0) == len(seeded) == config.restarts, f"case {case}"
-        for r in restarts:
-            if r == 0:
-                a = pca_a
-            else:
-                u, _, vh = np.linalg.svd(spawn_rng(case, r, 1).standard_normal((p, q)),
-                                         full_matrices=False)
-                a = u @ vh
-            f = _lone_kmeans_pp(x @ a, k, spawn_rng(case, r), np.ones(n, int))
-            assert a0[r].tobytes() == a.tobytes(), f"case {case}, restart {r}"
-            assert seeded[r].tobytes() == f.tobytes(), f"case {case}, restart {r}"
+        R, restarts = int(rng.integers(1, 5)), int(rng.integers(1, 11))
+        counts = rng.integers(1, 4, (R, n))
+        pca = np.stack([_kernels.principal_axes(x, q, row) for row in counts])
+        # sample s's restart r seeds from (case, s, r), its loading from
+        # (case, s, r, 1)
+        a0 = solver._starts(spawn_streams(case, np.repeat(range(R), restarts),
+                                          np.tile(range(restarts), R), 1), pca)
+        assert a0.shape == (R * restarts, p, q), f"case {case}"
+        samples += R
+        for s in range(R):
+            part = slice(s * restarts, (s + 1) * restarts)
+            seeded.clear()
+            _kernels.sweep_restarts(x, a0[part], k, spawn_streams(case, s, range(restarts)),
+                                    1, counts[s])
+            assert len(seeded) == restarts, f"case {case}"
+            for r in range(restarts):
+                if r == 0:
+                    a = pca[s]
+                else:
+                    u, _, vh = np.linalg.svd(spawn_rng(case, s, r, 1).standard_normal((p, q)),
+                                             full_matrices=False)
+                    a = u @ vh
+                f = _lone_kmeans_pp(x @ a, k, spawn_rng(case, s, r), counts[s])
+                where = f"case {case}, sample {s}, restart {r}"
+                assert a0[s * restarts + r].tobytes() == a.tobytes(), where
+                assert seeded[r].tobytes() == f.tobytes(), where
+    assert samples > 80
 
 
 def _seeding_stacks(seed):
@@ -314,12 +332,13 @@ def _seeding_stacks(seed):
 def test_stacked_kmeans_pp_is_the_lone_seeding_bitwise():
     # one stacked call seeds every restart of a batch as a lone run from its
     # own stream would, with and without counts, including restarts whose
-    # mass sums to 0 part way (they re-draw from their stream's start)
+    # mass sums to 0 part way (they re-draw from their stream's start): the
+    # engine's double weights draw what the integer counts draw
     exhausted = 0
     for case, y, counts, k in _seeding_stacks(6):
         c = np.ones(y.shape[1], dtype=np.int64) if counts is None else counts
         w = len(y)
-        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)), c)
+        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)), _float_weights(c, w))
         assert got.shape == (w, k, y.shape[2])
         for r in range(w):
             want = _lone_kmeans_pp(y[r], k, spawn_rng(case, r), c)
@@ -337,7 +356,7 @@ def test_stacked_kmeans_pp_seeds_a_shared_stack():
         x = rng.integers(-1, 2, (n, d)) * 1.0
         counts = rng.integers(1, 4, n)
         got = _kernels.kmeans_pp_init(np.broadcast_to(x, (w, n, d)), k,
-                                      spawn_streams(case, range(w)), counts)
+                                      spawn_streams(case, range(w)), _float_weights(counts, w))
         for r in range(w):
             want = _lone_kmeans_pp(x, k, spawn_rng(case, r), counts)
             assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"
@@ -362,7 +381,8 @@ def test_stacked_kmeans_pp_never_draws_a_zero_count_row():
                 y[r, live[1:]] = y[r, live[0]]
             # every zero-count row sits apart from every counted row
             y[r, counts[r] == 0] = 100.0 + np.arange(n)[counts[r] == 0, None]
-        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)), counts)
+        got = _kernels.kmeans_pp_init(y, k, spawn_streams(case, range(w)),
+                                      _float_weights(counts, w))
         for r in range(w):
             want = _lone_kmeans_pp(y[r], k, spawn_rng(case, r), counts[r])
             assert got[r].tobytes() == want.tobytes(), f"case {case}, restart {r}"

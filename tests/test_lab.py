@@ -621,12 +621,14 @@ class TestConsistencyExperiment:
     @staticmethod
     def _spy(monkeypatch, seen):
         """Record every fit the lab makes, by its seed, through both entries:
-        seen[seed] = (config, the rows' counts, the fit's data, solution)."""
+        seen[seed] = (config, the rows' counts, the fit's data, solution); a
+        fit_rkm call without counts counts each row once."""
         fit, many = lab.fit_rkm, lab._fit_samples
 
-        def one(X, cfg, counts):
+        def one(X, cfg, counts=None):
             sol = fit(X, cfg, counts=counts)
-            seen[cfg.seed] = (cfg, counts, X, sol)
+            seen[cfg.seed] = (cfg, np.ones(X.n, dtype=np.int64) if counts is None else counts,
+                              X, sol)
             return sol
 
         def stacked(X, cfg, counts, seeds):

@@ -209,10 +209,10 @@ def test_every_sweep_loss_is_its_sweeps_assigned_loss(held):
 
             a0 = np.eye(X.p) if held else _kernels.principal_axes(X.values, 2, counts)
             _, _, _, trace = _kernels.sweep_restarts(
-                X.values, None if held else a0[None], 3, spawn_streams(seed, [0]), 300, counts)[0]
+                X.values, None if held else a0[None], 3, spawn_streams(seed, [0]), 300, c)[0]
             A = LoadingMatrix(a0)
             F = CentroidSet(_kernels.kmeans_pp_init((X.values @ a0)[None], 3,
-                                                    spawn_streams(seed, [0]), c)[0])
+                                                    spawn_streams(seed, [0]), c[None] * 1.0)[0])
             if not held:
                 U = assign(X, A, F)
                 F = _centroid_step(full, expand(U), A)
@@ -254,7 +254,7 @@ def test_counts_default_to_once_each(dtype):
             a, b = (a.labels, b.labels) if part == "assignment" else (a.values, b.values)
             assert a.tobytes() == b.tobytes(), f"case {case}, {part}"
         held = [_kernels.best_restart(x, None, k, spawn_streams(case, range(7)), 300, *counts)[0]
-                for counts in ((), (ones,))]
+                for counts in ((), (ones[None],))]
         assert held[0][0] == held[1][0] and held[0][4] == held[1][4], f"case {case}"
         for got, want in zip(held[0][2:4], held[1][2:4]):
             assert got.tobytes() == want.tobytes(), f"case {case}"
@@ -301,9 +301,10 @@ def test_counts_seed_and_start_as_the_expanded_rows():
     for case, x, counts, q, k in _weighted_cases(4):
         full = np.repeat(x, counts, axis=0)
         if case % 2:
-            got = _kernels.kmeans_pp_init(x[None], k, spawn_streams(case, [0]), counts)
+            got = _kernels.kmeans_pp_init(x[None], k, spawn_streams(case, [0]),
+                                          counts[None] * 1.0)
             want = _kernels.kmeans_pp_init(full[None], k, spawn_streams(case, [0]),
-                                           np.ones(len(full), int))
+                                           np.ones((1, len(full))))
             assert got.tobytes() == want.tobytes(), f"case {case}"
         spectrum = np.linalg.svd(full - full.mean(axis=0), compute_uv=False)
         if q < x.shape[1] and (q >= len(spectrum) or spectrum[q - 1] - spectrum[q] < 1e-6):
@@ -357,7 +358,7 @@ def test_a_repair_moves_a_whole_counted_row(held, monkeypatch):
         a0 = None
         if not held:
             a0 = solver._starts(spawn_streams(case, range(4), 1),
-                                _kernels.principal_axes(x, q, counts))
+                                _kernels.principal_axes(x, q, counts)[None])
         for _, _, labels, trace in _kernels.sweep_restarts(x, a0, k, streams, 300, counts):
             assert np.all(np.bincount(labels, minlength=k) > 0), f"case {case}"
             t = np.array(trace)
@@ -376,6 +377,22 @@ def test_counts_are_checked():
                             (np.array([1, 2, -3, 1, 1, 1]), "must be positive")]:
         with pytest.raises(ValueError, match=message):
             fit_rkm(X, config, counts=counts)
+
+
+def test_counts_past_2_to_the_53_are_refused_by_name():
+    # the engine weighs rows in doubles, which count exactly up to 2^53: a
+    # larger total is refused before any fit, where the int64 total would
+    # wrap; a total of exactly 2^53 still fits
+    x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
+    config = SolverConfig(k=2, q=1, restarts=2)
+    named = r"counts must total at most 2\*\*53"
+    for counts in (np.full(4, 2**61), np.full(4, 2**62), np.array([2**53, 1, 1, 1]),
+                   np.full(4, 2**63 - 1), np.full(4, 2**64 - 1, dtype=np.uint64)):
+        with pytest.raises(ValueError, match=named):
+            fit_rkm(DataMatrix(x), config, counts=counts)
+    sol = fit_rkm(DataMatrix(x), config, counts=np.full(4, 2**51))
+    assert sol.assignment.labels[0] == sol.assignment.labels[1] != sol.assignment.labels[2]
+    assert sol.loss == pytest.approx(fit_rkm(DataMatrix(x), config).loss, rel=1e-12)
 
 
 def test_more_restarts_never_hurt():
@@ -499,7 +516,12 @@ def _batch_loadings(held, case, x, k, q, R):
 
     if held:
         return None
-    return solver._starts(spawn_streams(case, range(R), 1), _kernels.principal_axes(x, q))
+    return solver._starts(spawn_streams(case, range(R), 1), _kernels.principal_axes(x, q)[None])
+
+
+def _ones(x):
+    """Each row of x counted once, as the engine's shared counts."""
+    return np.ones(len(x), dtype=np.int64)
 
 
 def _seeding_streams(case, R):
@@ -528,7 +550,7 @@ def test_restart_batches_are_width_invariant(held, monkeypatch):
             for first in range(0, R, width):
                 part = slice(first, first + width)
                 results += _kernels.sweep_restarts(
-                    x, None if held else a0[part], k, streams[part], cap)
+                    x, None if held else a0[part], k, streams[part], cap, _ones(x))
             runs[width] = [_run_bits(result) for result in results]
         assert runs[1] == runs[2] == runs[R], f"case {case}"
         if held:
@@ -555,7 +577,7 @@ def test_fit_is_the_best_width_one_run_at_every_batch_width(held, monkeypatch):
         # (a, f, labels, trace) of each lone run; a is None for Lloyd's
         streams = _seeding_streams(case, R)
         lone = [_kernels.sweep_restarts(x, None if held else a0[r:r + 1], k, streams[r:r + 1],
-                                        cap)[0] for r in range(R)]
+                                        cap, _ones(x))[0] for r in range(R)]
         losses = [trace[-1] for _, _, _, trace in lone]
         best = losses.index(min(losses))
         ties += losses.count(min(losses)) > 1
@@ -585,7 +607,7 @@ def test_sweep_restarts_only_reads_its_data_and_loadings(held):
     for case, x, k, q, cap, R in _small_grid_cases(11 + held):
         a0 = _batch_loadings(held, case, x, k, q, R)
         before = [v.tobytes() for v in (x, a0) if v is not None]
-        _kernels.sweep_restarts(x, a0, k, _seeding_streams(case, R), cap)
+        _kernels.sweep_restarts(x, a0, k, _seeding_streams(case, R), cap, _ones(x))
         after = [v.tobytes() for v in (x, a0) if v is not None]
         assert after == before, f"case {case}"
 
@@ -605,10 +627,10 @@ def test_both_solvers_seed_restart_r_from_its_own_stream(monkeypatch):
     seed_centers = _kernels.kmeans_pp_init
     seen, calls = [], []
 
-    def recording(y, k, streams, counts):
+    def recording(y, k, streams, weights):
         calls.append(len(streams))
         seen.extend(stream(streams[j]) for j in range(len(streams)))
-        return seed_centers(y, k, streams, counts)
+        return seed_centers(y, k, streams, weights)
 
     monkeypatch.setattr(_kernels, "kmeans_pp_init", recording)
     n, k, R, seed = 30, 3, 7, 11
@@ -742,7 +764,7 @@ def test_an_earlier_sweep_past_the_largest_double_reads_inf():
     # restart 3 of the fit above, alone: its first two sweep losses are
     # past the largest double once scaled back, its final loss is not
     x = _demo_draws() * 2.0**513
-    a0 = solver._starts(spawn_streams(0, range(10), 1), _kernels.principal_axes(x, 1))
+    a0 = solver._starts(spawn_streams(0, range(10), 1), _kernels.principal_axes(x, 1)[None])
     trace = _kernels.best_restart(x, a0[3:4], 2, spawn_streams(0, [3]), 300)[0][4]
     assert trace[:2] == [np.inf, np.inf]
     assert np.isfinite(trace[-1]) and trace[-1] > 7e306
@@ -850,9 +872,10 @@ def test_samples_with_positive_counts_are_their_fit_rkm_fits_bitwise():
 
 
 def test_each_sample_of_a_stack_is_its_lone_fit_at_every_batch_width(monkeypatch):
-    # samples with zero counts: at batch widths 1, 2 and all, each sample's
-    # solution is that of the entry called on it alone; a zero-count row
-    # keeps its nearest-center label, as no repair moves it
+    # samples with zero counts: at batch widths 1, 2, one sample's restarts
+    # and all, each sample's solution is that of the entry called on it
+    # alone; a zero-count row keeps its nearest-center label, as no repair
+    # moves it
     from rkmeans import _kernels, solver
 
     zeros = 0
@@ -861,7 +884,7 @@ def test_each_sample_of_a_stack_is_its_lone_fit_at_every_batch_width(monkeypatch
         lone = [_solution_bits(solver._fit_samples(X, config, counts[r:r + 1], seeds[r:r + 1])[0])
                 for r in range(len(counts))]
         total = len(counts) * config.restarts
-        for width in (1, 2, total):
+        for width in (1, 2, config.restarts, total):
             monkeypatch.setattr(_kernels, "BATCH_DOUBLES", width * X.n * config.k)
             sols = solver._fit_samples(X, config, counts, seeds)
             assert [_solution_bits(sol) for sol in sols] == lone, f"case {case}, width {width}"
@@ -874,6 +897,47 @@ def test_each_sample_of_a_stack_is_its_lone_fit_at_every_batch_width(monkeypatch
                 assert np.array_equal(sol.assignment.labels[idle], nearest.labels), f"case {case}"
             assert np.all(np.bincount(sol.assignment.labels, row, minlength=config.k) > 0)
     assert zeros > 100
+
+
+def test_a_batch_inside_one_sample_runs_on_its_shared_row(monkeypatch):
+    # best_restart hands a batch whose restarts all belong to one sample that
+    # sample's counts (n,), shared by the batch, and a batch across samples
+    # one row per restart (w, n): fit_rkm is one sample, so every one of its
+    # batches gets the shared row
+    from rkmeans import _kernels, solver
+
+    sweep = _kernels.sweep_restarts
+    batches = []
+
+    def recording(x, a, k, streams, max_iterations, counts):
+        batches.append(counts)
+        return sweep(x, a, k, streams, max_iterations, counts)
+
+    monkeypatch.setattr(_kernels, "sweep_restarts", recording)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((20, 3))
+    counts = rng.integers(0, 4, (3, 20))
+    counts[:, :2] += 1
+    config = SolverConfig(k=2, q=2, restarts=4)
+    shapes = set()
+    for cap in (1, 3, 4, 5, 12):
+        monkeypatch.setattr(_kernels, "BATCH_DOUBLES", cap * 20 * 2)
+        batches.clear()
+        fit_rkm(DataMatrix(x), config, counts=counts[0] + 1)
+        assert [(b.shape, b.tobytes()) for b in batches] == \
+            [((20,), (counts[0] + 1).tobytes())] * -(-4 // _kernels.batch_width(20, 2, 4)), \
+            f"cap {cap}"
+        batches.clear()
+        solver._fit_samples(DataMatrix(x), config, counts, [0, 1, 2])
+        width = _kernels.batch_width(20, 2, 12)
+        assert len(batches) == -(-12 // width), f"cap {cap}"
+        for first, batch in zip(range(0, 12, width), batches):
+            owners = np.arange(first, min(first + width, 12)) // 4
+            want = counts[owners[0]] if owners[0] == owners[-1] else counts[owners]
+            assert batch.shape == want.shape and batch.tobytes() == want.tobytes(), \
+                f"cap {cap}, batch at {first}"
+            shapes.add(batch.ndim)
+    assert shapes == {1, 2}, "a batch form went untested"
 
 
 def test_a_sample_of_exactly_k_counted_rows_fits():

@@ -125,6 +125,16 @@ COMMANDS = [
     # atoms, the draws of n = 8 with zero counts among them
     ("consistency-many-reps", "bench-consistency --atoms atoms8.csv --n-grid 8,25,200 --reps 12"
                               " --restarts 3 --seed 9"),
+    # 400 rows at k = 8: 50 restarts run as two lockstep batches of 25
+    ("gen-preset-n400", "gen --preset table1-q2p5 --n 400 --seed 6 --output big.csv"),
+    ("fit-two-batches", "fit --input big.csv --clusters 8 --dims 2 --restarts 50"),
+    ("kmeans-two-batches", "kmeans --input big.csv --clusters 8 --restarts 50"),
+    # 1,700 atoms at k = 2: each n's 2 x 40 restarts run as three batches,
+    # the first and the last inside one rep, the middle one across both
+    ("gen-atoms1700", "gen --dims 1 --p1 2 --p2 0 --p3 0 --clusters 2 --n 1700 --seed 7"
+                      " --output atoms1700.csv"),
+    ("consistency-atoms1700", "bench-consistency --atoms atoms1700.csv --n-grid 60,400 --reps 2"
+                              " --restarts 40"),
 ]
 
 # numpy's default_rng(0).integers(0, 4, 40): which demo atom each row of
